@@ -9,8 +9,10 @@
 package board
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bram"
@@ -66,8 +68,11 @@ type Board struct {
 
 	// env caches the electrical snapshot reads run under; it is refreshed on
 	// every rail/chamber change so the hot read path stays allocation-free
-	// and safe for concurrent Readers.
-	env silicon.Conditions
+	// and safe for concurrent Readers. railsUp is refreshed with it: both
+	// on-chip rails sit at or above their crash levels. Rails move only
+	// through SetVCCBRAM/SetVCCINT, so neither goes stale.
+	env     silicon.Conditions
+	railsUp bool
 }
 
 // New assembles a board for the given platform, configured with the
@@ -110,11 +115,13 @@ func New(p platform.Platform) *Board {
 // every critical voltage), then recomputes the cached read-path conditions.
 func (b *Board) refreshEnv() {
 	b.Chamber.SetTarget(b.thermals.AirForOnBoard(b.onBoardTarget, b.chipPowerW()))
+	v := b.VCCBRAM()
 	b.env = silicon.Conditions{
-		V:           b.VCCBRAM(),
+		V:           v,
 		TempC:       b.OnBoardTempC(),
 		JitterScale: b.jitterScale,
 	}
+	b.railsUp = v >= b.Platform.Cal.Vcrash-1e-9 && b.VCCINT() >= b.Platform.Cal.VcrashInt-1e-9
 }
 
 // Configure loads the characterization bitstream over JTAG: BRAMs are
@@ -144,7 +151,7 @@ func (b *Board) Operating() bool { return b.Done() }
 // below its crash level. The latch is sticky: recovery requires raising the
 // rails and reconfiguring, as on the real boards.
 func (b *Board) refreshCrashLatch() {
-	if b.VCCBRAM() < b.Platform.Cal.Vcrash-1e-9 || b.VCCINT() < b.Platform.Cal.VcrashInt-1e-9 {
+	if !b.railsUp {
 		b.crashed = true
 	}
 }
@@ -160,8 +167,8 @@ func (b *Board) SetVCCBRAM(v float64) error {
 	if err := b.Ctl.SetVout(PageVCCBRAM, v); err != nil {
 		return err
 	}
-	b.refreshCrashLatch()
 	b.refreshEnv()
+	b.refreshCrashLatch()
 	return nil
 }
 
@@ -170,8 +177,8 @@ func (b *Board) SetVCCINT(v float64) error {
 	if err := b.Ctl.SetVout(PageVCCINT, v); err != nil {
 		return err
 	}
-	b.refreshCrashLatch()
 	b.refreshEnv()
+	b.refreshCrashLatch()
 	return nil
 }
 
@@ -243,6 +250,48 @@ func (b *Board) ReadBRAMInto(dst []uint16, site int, run uint64) error {
 	var err error
 	b.scratch, err = readFaulty(b, b.eval.evaluator(b, run), dst, site, b.scratch)
 	return err
+}
+
+// WordDiff is one word a read pass returns differently from what is stored:
+// Mask is readback XOR stored, never zero.
+type WordDiff struct {
+	Row  uint16
+	Mask uint16
+}
+
+// DiffBRAMInto reports, in ascending row order, every word of one BRAM that
+// ReadBRAMInto would return differently from the stored contents, reusing
+// dst's storage. It reads the site's active faults from the pass evaluation
+// and consults stored words only at their rows, so a pass costs O(active
+// faults) instead of O(Rows). Faults on one row apply in the order
+// readFaulty applies them, so overlapping faults resolve exactly as in the
+// readout. It fails when the design is not operating.
+func (b *Board) DiffBRAMInto(dst []WordDiff, site int, run uint64) ([]WordDiff, error) {
+	dst = dst[:0]
+	if !b.Done() {
+		return dst, ErrNotOperating
+	}
+	faults := b.eval.evaluator(b, run).AppendActive(b.scratch[:0], site)
+	b.scratch = faults
+	slices.SortStableFunc(faults, func(x, y silicon.Fault) int { return cmp.Compare(x.Row, y.Row) })
+	blk := b.Pool.Block(site)
+	for i := 0; i < len(faults); {
+		row := faults[i].Row
+		stored := blk.ReadRaw(int(row))
+		w := stored
+		for ; i < len(faults) && faults[i].Row == row; i++ {
+			bit := uint16(1) << faults[i].Col
+			if faults[i].Flip01 {
+				w |= bit
+			} else {
+				w &^= bit
+			}
+		}
+		if w != stored {
+			dst = append(dst, WordDiff{Row: row, Mask: w ^ stored})
+		}
+	}
+	return dst, nil
 }
 
 // evalMemo caches a pass evaluation environment (ripple draw, jitter sigma):
@@ -481,11 +530,10 @@ type Reader struct {
 func (b *Board) NewReader() *Reader { return &Reader{b: b} }
 
 // operatingNow is a mutation-free operating check for concurrent Readers
-// (Done() may flip the sticky crash latch, which is a write).
+// (Done() may flip the sticky crash latch, which is a write). Neither takes
+// the regulator lock: both read the rail check cached with env.
 func (b *Board) operatingNow() bool {
-	return b.configured && !b.crashed &&
-		b.VCCBRAM() >= b.Platform.Cal.Vcrash-1e-9 &&
-		b.VCCINT() >= b.Platform.Cal.VcrashInt-1e-9
+	return b.configured && !b.crashed && b.railsUp
 }
 
 // ReadInto behaves like Board.ReadBRAMInto but is safe to call from multiple

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/bram"
 	"repro/internal/platform"
 	"repro/internal/prng"
 	"repro/internal/thermal"
+	"repro/internal/voltage"
 )
 
 // testBoard returns a scaled-down VC707 for fast tests.
@@ -605,5 +607,106 @@ func TestCountsDeltaMatchesFullRebuild(t *testing.T) {
 		}
 		mirror()
 		compare(fmt.Sprintf("v=%.2f post-fill deltas", v))
+	}
+}
+
+// diffViaReadout is the reference for DiffBRAMInto: a full readout compared
+// row by row against a snapshot of the stored contents.
+func diffViaReadout(t *testing.T, b *Board, site int, run uint64) []WordDiff {
+	t.Helper()
+	got := make([]uint16, bram.Rows)
+	stored := make([]uint16, bram.Rows)
+	if err := b.ReadBRAMInto(got, site, run); err != nil {
+		t.Fatal(err)
+	}
+	b.Pool.Block(site).Snapshot(stored)
+	var out []WordDiff
+	for row := range got {
+		if m := got[row] ^ stored[row]; m != 0 {
+			out = append(out, WordDiff{Row: uint16(row), Mask: m})
+		}
+	}
+	return out
+}
+
+// TestDiffPathMatchesReadoutPath proves the sparse read-diff reports exactly
+// the words a full readout returns differently from the stored contents, for
+// every site at every level from Vnom through the marginal band to Vcrash,
+// under uniform fills (one flip polarity observable) and a random fill (both).
+// The die is larger than testBoard's so that it holds 0→1 weak cells.
+func TestDiffPathMatchesReadoutPath(t *testing.T) {
+	var seen10, seen01 bool
+	for _, fill := range []string{"uniform-ffff", "uniform-0000", "random", "expose-all"} {
+		b := New(platform.VC707().Scaled(600))
+		fillBoard(b, fill)
+		cal := b.Platform.Cal
+		var diffs []WordDiff
+		faulty := 0
+		for _, v := range voltage.SweepDown(cal.Vnom, cal.Vcrash, voltage.Step) {
+			if err := b.SetVCCBRAM(v); err != nil {
+				t.Fatal(err)
+			}
+			run := b.BeginRun()
+			for site := 0; site < b.Pool.Len(); site++ {
+				var err error
+				if diffs, err = b.DiffBRAMInto(diffs, site, run); err != nil {
+					t.Fatal(err)
+				}
+				want := diffViaReadout(t, b, site, run)
+				if !slices.Equal(diffs, want) {
+					t.Fatalf("fill %s v=%.3f site %d: diff %v != readout %v", fill, v, site, diffs, want)
+				}
+				faulty += len(diffs)
+				for _, d := range diffs {
+					stored := b.Pool.Block(site).ReadRaw(int(d.Row))
+					seen10 = seen10 || d.Mask&stored != 0
+					seen01 = seen01 || d.Mask&^stored != 0
+				}
+			}
+		}
+		if faulty == 0 {
+			t.Fatalf("fill %s: no faulty word down to Vcrash; the comparison is vacuous", fill)
+		}
+	}
+	if !seen10 || !seen01 {
+		t.Fatalf("flip polarities exercised: 1→0 %v, 0→1 %v; want both", seen10, seen01)
+	}
+}
+
+// TestDiffBRAMIntoErrorsAndAllocs covers the not-operating path and pins
+// that a diff pass allocates nothing once dst and the board's fault scratch
+// have grown.
+func TestDiffBRAMIntoErrorsAndAllocs(t *testing.T) {
+	b := testBoard()
+	b.FillAll(0xFFFF)
+	if err := b.SetVCCBRAM(b.Platform.Cal.Vcrash); err != nil {
+		t.Fatal(err)
+	}
+	run := b.BeginRun()
+	var diffs []WordDiff
+	for site := 0; site < b.Pool.Len(); site++ {
+		var err error
+		if diffs, err = b.DiffBRAMInto(diffs, site, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for site := 0; site < b.Pool.Len(); site++ {
+			diffs, _ = b.DiffBRAMInto(diffs, site, run)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("diff pass allocated %.1f times per run, want 0", allocs)
+	}
+
+	if err := b.SetVCCBRAM(b.Platform.Cal.Vcrash - 0.01); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.DiffBRAMInto(diffs, 0, b.BeginRun())
+	if !errors.Is(err, ErrNotOperating) {
+		t.Fatalf("crashed board DiffBRAMInto err = %v", err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("crashed board DiffBRAMInto returned %d diffs", len(got))
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/board"
 	"repro/internal/prng"
@@ -280,11 +281,9 @@ func scanPool(ctx context.Context, b *board.Board, o Options, perBRAM [][]int, r
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	next := make(chan int, nSites)
-	for s := 0; s < nSites; s++ {
-		next <- s
-	}
-	close(next)
+	// Workers claim sites off a shared counter: one atomic add per site
+	// instead of a channel receive and its lock.
+	var next atomic.Int64
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -304,7 +303,11 @@ func scanPool(ctx context.Context, b *board.Board, o Options, perBRAM [][]int, r
 			reader := b.NewReader()
 			var localTotal int
 			var local10, local01 int64
-			for site := range next {
+			for {
+				site := int(next.Add(1) - 1)
+				if site >= nSites {
+					break
+				}
 				n, n10, n01, err := reader.CountInto(site, runIdx)
 				if err != nil {
 					mu.Lock()

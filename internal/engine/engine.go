@@ -310,6 +310,7 @@ type Fleet struct {
 	cache      *FVMCache
 	placements *PlacementCache
 	readGate   *sem.Gate // fleet-wide read-worker budget (nil: unlimited)
+	mitReads   mitigationReads
 
 	characterizations atomic.Uint64 // real sweeps executed (cache misses)
 }
@@ -345,6 +346,7 @@ func NewFleet(platforms []platform.Platform, opts Options) *Fleet {
 		cache:      cache,
 		placements: NewPlacementCache(),
 		readGate:   gate,
+		mitReads:   indexReads,
 	}
 }
 

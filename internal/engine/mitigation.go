@@ -211,28 +211,14 @@ func (f *Fleet) mitigationBoard(ctx context.Context, c Campaign, pm *progressMet
 	}
 
 	needDef := curves[ArmUnprotected] != nil || curves[ArmECC] != nil
-	buf := make([]uint16, bram.Rows)
 	// scan reads the payload sites under the given run and returns the
 	// total flipped bits plus one XOR mask per faulty word.
 	scan := func(run uint64, sites []int) (flipped int, masks []uint16, err error) {
-		if f.readGate != nil {
-			if err := f.readGate.Acquire(ctx, 1); err != nil {
-				return 0, nil, err
-			}
-			defer f.readGate.Release(1)
-		}
-		for _, site := range sites {
-			if err := b.ReadBRAMInto(buf, site, run); err != nil {
-				return 0, nil, err
-			}
-			for _, w := range buf {
-				if m := w ^ pattern; m != 0 {
-					flipped += bits.OnesCount16(m)
-					masks = append(masks, m)
-				}
-			}
-		}
-		return flipped, masks, nil
+		err = f.readPass(ctx, func() error {
+			flipped, masks, err = f.mitReads.scan(b, run, sites, pattern)
+			return err
+		})
+		return flipped, masks, err
 	}
 
 	for _, v := range ladder {
@@ -406,28 +392,11 @@ func (f *Fleet) icbpPlacement(ctx context.Context, b *board.Board, p platform.Pl
 	}
 	vuln := make([]float64, b.Pool.Len())
 	if b.Operating() {
-		if f.readGate != nil {
-			if err := f.readGate.Acquire(ctx, 1); err != nil {
-				return nil, err
-			}
-		}
 		run := b.BeginRun()
-		buf := make([]uint16, bram.Rows)
-		for site := 0; site < b.Pool.Len(); site++ {
-			if err := b.ReadBRAMInto(buf, site, run); err != nil {
-				if f.readGate != nil {
-					f.readGate.Release(1)
-				}
-				return nil, err
-			}
-			n := 0
-			for _, w := range buf {
-				n += bits.OnesCount16(w ^ pattern)
-			}
-			vuln[site] = float64(n)
-		}
-		if f.readGate != nil {
-			f.readGate.Release(1)
+		if err := f.readPass(ctx, func() error {
+			return f.mitReads.probe(b, run, pattern, vuln)
+		}); err != nil {
+			return nil, err
 		}
 	}
 	if err := b.SetVCCBRAM(p.Cal.Vnom); err != nil {
@@ -454,6 +423,58 @@ func (f *Fleet) icbpPlacement(ctx context.Context, b *board.Board, p platform.Pl
 	sites := append([]int(nil), order[:k]...)
 	sort.Ints(sites)
 	return sites, nil
+}
+
+// mitigationReads are the two board reads a mitigation study makes. Fleets
+// use indexReads; the engine tests pin them against a full-readout
+// reference.
+type mitigationReads struct {
+	// scan returns the flipped bits over the payload sites and one mask
+	// (readback XOR pattern) per faulty word, in site then row order.
+	scan func(b *board.Board, run uint64, sites []int, pattern uint16) (flipped int, masks []uint16, err error)
+	// probe writes each site's flipped bits into vuln (Pool.Len() entries).
+	probe func(b *board.Board, run uint64, pattern uint16, vuln []float64) error
+}
+
+// indexReads serve both reads from the board's fault index: a level costs
+// O(active faults) over the payload, not O(payload words). The board holds
+// FillAll(pattern), so readback XOR stored is readback XOR pattern.
+var indexReads = mitigationReads{
+	scan: func(b *board.Board, run uint64, sites []int, _ uint16) (flipped int, masks []uint16, err error) {
+		var diffs []board.WordDiff
+		for _, site := range sites {
+			if diffs, err = b.DiffBRAMInto(diffs, site, run); err != nil {
+				return 0, nil, err
+			}
+			for _, d := range diffs {
+				flipped += bits.OnesCount16(d.Mask)
+				masks = append(masks, d.Mask)
+			}
+		}
+		return flipped, masks, nil
+	},
+	probe: func(b *board.Board, run uint64, _ uint16, vuln []float64) error {
+		perSite := make([]int, len(vuln))
+		if _, _, _, err := b.CountFaultsInto(perSite, run); err != nil {
+			return err
+		}
+		for site, n := range perSite {
+			vuln[site] = float64(n)
+		}
+		return nil
+	},
+}
+
+// readPass runs one board read pass holding a unit of the fleet's read
+// budget, released on every path out.
+func (f *Fleet) readPass(ctx context.Context, pass func() error) error {
+	if f.readGate != nil {
+		if err := f.readGate.Acquire(ctx, 1); err != nil {
+			return err
+		}
+		defer f.readGate.Release(1)
+	}
+	return pass()
 }
 
 // isoEnergyPoint finds the guardbanded DVFS point whose energy best

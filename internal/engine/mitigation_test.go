@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"math/bits"
 	"reflect"
 	"testing"
 
+	"repro/internal/board"
+	"repro/internal/bram"
 	"repro/internal/platform"
 )
 
@@ -180,6 +183,109 @@ func TestMitigationExplicitLadder(t *testing.T) {
 	for i, pt := range got {
 		if pt.V != ladder[i] {
 			t.Fatalf("level %d at %.3f, want %.3f", i, pt.V, ladder[i])
+		}
+	}
+}
+
+// readoutReads is the full-readout mitigation read path the fault-index
+// reads replaced, kept as their reference: every payload word is read back
+// and XORed against the pattern.
+var readoutReads = mitigationReads{
+	scan: func(b *board.Board, run uint64, sites []int, pattern uint16) (flipped int, masks []uint16, err error) {
+		buf := make([]uint16, bram.Rows)
+		for _, site := range sites {
+			if err := b.ReadBRAMInto(buf, site, run); err != nil {
+				return 0, nil, err
+			}
+			for _, w := range buf {
+				if m := w ^ pattern; m != 0 {
+					flipped += bits.OnesCount16(m)
+					masks = append(masks, m)
+				}
+			}
+		}
+		return flipped, masks, nil
+	},
+	probe: func(b *board.Board, run uint64, pattern uint16, vuln []float64) error {
+		buf := make([]uint16, bram.Rows)
+		for site := range vuln {
+			if err := b.ReadBRAMInto(buf, site, run); err != nil {
+				return err
+			}
+			n := 0
+			for _, w := range buf {
+				n += bits.OnesCount16(w ^ pattern)
+			}
+			vuln[site] = float64(n)
+		}
+		return nil
+	},
+}
+
+// TestMitigationIndexMatchesReadout pins the fault-index mitigation reads to
+// the full-readout reference: every arm's level curve (ECC corrected,
+// detected and silent counts included) and the fleet aggregate must be
+// identical, on scaled dies and on one full-size die, for the default
+// ladder, an explicit ladder, the iso-energy DVFS baseline and an arm subset
+// without ICBP.
+func TestMitigationIndexMatchesReadout(t *testing.T) {
+	vc := platform.VC707()
+	fleets := []struct {
+		name string
+		ps   []platform.Platform
+	}{
+		{"scaled", append(vc.Scaled(24).Replicas(2), platform.KC705A().Scaled(24))},
+		{"full-size", []platform.Platform{platform.KC705A()}},
+	}
+	campaigns := []struct {
+		name string
+		c    Campaign
+	}{
+		{"default", Campaign{Kind: KindMitigation, Sweep: fastSweep()}},
+		{"explicit-ladder", Campaign{Kind: KindMitigation, Sweep: fastSweep(),
+			MitVoltages: []float64{vc.Cal.Vnom, vc.Cal.Vmin, vc.Cal.Vmin - 0.03, vc.Cal.Vcrash + 0.01, vc.Cal.Vcrash}}},
+		{"iso-energy", Campaign{Kind: KindMitigation, Sweep: fastSweep(), MitIsoEnergy: true}},
+		{"no-icbp", Campaign{Kind: KindMitigation, Sweep: fastSweep(),
+			MitArms: []string{ArmUnprotected, ArmECC, ArmDVFS}}},
+	}
+	for _, fl := range fleets {
+		for _, tc := range campaigns {
+			fname, ps, cname, c := fl.name, fl.ps, tc.name, tc.c
+			run := func(reads mitigationReads) *CampaignResult {
+				f := NewFleet(ps, Options{Workers: 2})
+				f.mitReads = reads
+				res, err := f.RunCampaign(context.Background(), c)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", fname, cname, err)
+				}
+				for _, br := range res.Boards {
+					if br.Err != nil {
+						t.Fatalf("%s/%s board %d: %v", fname, cname, br.Board, br.Err)
+					}
+				}
+				return res
+			}
+			got, want := run(indexReads), run(readoutReads)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: fault-index mitigation result diverged from the readout reference", fname, cname)
+			}
+			// Guard against a vacuous pin: the ladder must reach levels where
+			// the raw memory faults and ECC corrects.
+			var wordErrors, corrected int
+			for _, br := range got.Boards {
+				for _, arm := range br.Mitigation {
+					for _, pt := range arm.Levels {
+						if arm.Arm == ArmUnprotected {
+							wordErrors += pt.WordErrors
+						}
+						corrected += pt.Corrected
+					}
+				}
+			}
+			if wordErrors == 0 || corrected == 0 {
+				t.Fatalf("%s/%s: %d faulty words, %d ECC corrections; the pin is vacuous",
+					fname, cname, wordErrors, corrected)
+			}
 		}
 	}
 }

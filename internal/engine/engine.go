@@ -797,20 +797,22 @@ func ObservedVmin(s *characterize.Sweep) float64 { return store.SweepVmin(s) }
 //
 // Each metric is a slice because a board may legitimately contribute zero
 // values to a given summary (a pattern study has no Vmin) and, per metric,
-// order within the board is preserved by the fold.
+// order within the board is preserved by the fold. The JSON form is the
+// daemon's per-board "sample" wire field; empty metrics are omitted, which
+// the fold cannot tell from present-but-empty ones.
 type BoardSample struct {
-	Failed    bool
-	FromCache bool
+	Failed    bool `json:"failed,omitempty"`
+	FromCache bool `json:"from_cache,omitempty"`
 
-	Faults     []float64 // faults/Mbit at the deepest measured level
-	Vmins      []float64 // observed Vmin (sweeps, BRAM thresholds)
-	Vcrashes   []float64 // observed Vcrash
-	ZeroShares []float64 // fraction of never-faulting BRAMs
-	InferErrs  []float64 // classification error at the deepest level
+	Faults     []float64 `json:"faults,omitempty"`      // faults/Mbit at the deepest measured level
+	Vmins      []float64 `json:"vmins,omitempty"`       // observed Vmin (sweeps, BRAM thresholds)
+	Vcrashes   []float64 `json:"vcrashes,omitempty"`    // observed Vcrash
+	ZeroShares []float64 `json:"zero_shares,omitempty"` // fraction of never-faulting BRAMs
+	InferErrs  []float64 `json:"infer_errs,omitempty"`  // classification error at the deepest level
 
 	// Mitigation carries the board's per-arm scalar outcomes (mitigation
 	// campaigns only), in the board's arm order.
-	Mitigation []MitigationSample
+	Mitigation []MitigationSample `json:"mitigation,omitempty"`
 }
 
 // Sample reduces the board's outcome to its aggregate contribution.

@@ -96,9 +96,9 @@ type MitigationArm struct {
 // MitigationSample is one arm's scalar contribution to the fleet
 // aggregate.
 type MitigationSample struct {
-	Arm           string
-	MinSafeV      float64
-	EnergySavings float64
+	Arm           string  `json:"arm"`
+	MinSafeV      float64 `json:"min_safe_v"`
+	EnergySavings float64 `json:"energy_savings"`
 }
 
 // MitigationAggregate summarizes one arm across the fleet.

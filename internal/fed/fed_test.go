@@ -3,13 +3,17 @@ package fed_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/fed"
+	"repro/internal/nn"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -91,26 +95,37 @@ func fleetCampaign() server.CampaignRequest {
 	}
 }
 
+// inferenceRequest trains a small classifier and wraps it, with its
+// test set, as an nn-inference campaign over boards.
+func inferenceRequest(t *testing.T, boards []server.BoardSpec) server.CampaignRequest {
+	t.Helper()
+	ds := dataset.MNISTLike(dataset.Options{
+		TrainSamples: 200, TestSamples: 32, Features: 64, Classes: 10,
+	})
+	net, err := nn.New([]int{64, 16, 10}, "federation-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Train(ds.TrainX, ds.TrainY, nn.TrainOptions{Epochs: 1, LearnRate: 0.3, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	req, err := server.NewInferenceRequest(boards, nn.Quantize(net), ds.TestX, ds.TestY, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
 // TestFederatedMatchesSingleDaemon is the federation's core correctness
-// claim: a campaign sharded across three daemons returns the bit-identical
-// aggregate and per-board rows a single daemon computes — with the
-// coordinator's own auth gate and the downstream bearer token in play.
+// claim: a campaign of every kind, sharded across three daemons, returns
+// the bit-identical aggregate and per-board rows (every mitigation arm
+// curve included) a single daemon computes — with the coordinator's own
+// auth gate and the downstream bearer token in play.
 func TestFederatedMatchesSingleDaemon(t *testing.T) {
 	ctx := context.Background()
 
 	// Reference: one daemon runs the whole fleet.
 	_, solo := newService(t, server.Config{})
-	ref, err := solo.Submit(ctx, fleetCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := solo.Wait(ctx, ref.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.State != server.JobDone {
-		t.Fatalf("reference job ended %q (%s)", want.State, want.Error)
-	}
 
 	// Federation: three token-gated daemons behind a token-gated coordinator.
 	var urls []string
@@ -127,125 +142,120 @@ func TestFederatedMatchesSingleDaemon(t *testing.T) {
 	if _, err := fc.Submit(ctx, fleetCampaign()); err == nil {
 		t.Fatal("unauthenticated federated submit accepted")
 	}
+	fc.SetToken("front-secret")
 
-	job, err := fc.SetToken("front-secret").Submit(ctx, fleetCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fc.Wait(ctx, job.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != server.JobDone {
-		t.Fatalf("federated job ended %q (%s)", got.State, got.Error)
-	}
-	if got.Progress != 100 {
-		t.Fatalf("federated job finished at %.2f%%", got.Progress)
-	}
-
-	if !reflect.DeepEqual(got.Aggregate, want.Aggregate) {
-		t.Fatalf("federated aggregate diverged:\n  fed:  %+v\n  solo: %+v", got.Aggregate, want.Aggregate)
-	}
-	if !reflect.DeepEqual(got.BoardResults, want.BoardResults) {
-		t.Fatalf("federated board rows diverged:\n  fed:  %+v\n  solo: %+v", got.BoardResults, want.BoardResults)
-	}
-
-	// The shard map is part of the job detail: every executed board is
-	// accounted for, and only configured daemons appear.
-	sharded := 0
-	for _, sh := range got.Shards {
-		sharded += sh.Boards
-		found := false
-		for _, u := range urls {
-			if sh.Daemon == u {
-				found = true
+	boards := fleetCampaign().Boards
+	cases := []struct {
+		name  string
+		req   server.CampaignRequest
+		check func(t *testing.T, job server.JobStatus)
+	}{
+		{"characterization", fleetCampaign(), func(t *testing.T, job server.JobStatus) {
+			// The shard map is part of the job detail: every executed board
+			// is accounted for, and only configured daemons appear.
+			sharded := 0
+			for _, sh := range job.Shards {
+				sharded += sh.Boards
+				if !slices.Contains(urls, sh.Daemon) {
+					t.Fatalf("shard on unknown daemon %q", sh.Daemon)
+				}
 			}
-		}
-		if !found {
-			t.Fatalf("shard on unknown daemon %q", sh.Daemon)
-		}
-	}
-	if sharded != 6 {
-		t.Fatalf("shards cover %d boards, want 6", sharded)
-	}
-
-	// Union queries see every downstream's store: 6 characterizations.
-	fvms, err := fc.FVMs(ctx, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fvms) != 6 {
-		t.Fatalf("federated FVM union has %d records, want 6", len(fvms))
-	}
-	vmins, err := fc.Vmin(ctx, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vmins) != 6 {
-		t.Fatalf("federated vmin union has %d rows, want 6", len(vmins))
-	}
-
-	// Extended to kind "mitigation": the same fleet compares all four
-	// mitigation arms (iso-energy DVFS), and the coordinator's aggregate
-	// and every per-board arm curve must be bit-identical to the solo
-	// daemon's.
-	mitReq := server.NewMitigationRequest(fleetCampaign().Boards, server.MitigationSpec{IsoEnergy: true})
-	mitRef, err := solo.Submit(ctx, mitReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mitWant, err := solo.Wait(ctx, mitRef.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mitWant.State != server.JobDone {
-		t.Fatalf("solo mitigation job ended %q (%s)", mitWant.State, mitWant.Error)
-	}
-	mitJob, err := fc.SetToken("front-secret").Submit(ctx, mitReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mitGot, err := fc.Wait(ctx, mitJob.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mitGot.State != server.JobDone {
-		t.Fatalf("federated mitigation job ended %q (%s)", mitGot.State, mitGot.Error)
-	}
-	if !reflect.DeepEqual(mitGot.Aggregate, mitWant.Aggregate) {
-		t.Fatalf("federated mitigation aggregate diverged:\n  fed:  %+v\n  solo: %+v",
-			mitGot.Aggregate, mitWant.Aggregate)
-	}
-	if !reflect.DeepEqual(mitGot.BoardResults, mitWant.BoardResults) {
-		t.Fatalf("federated mitigation board rows diverged:\n  fed:  %+v\n  solo: %+v",
-			mitGot.BoardResults, mitWant.BoardResults)
-	}
-	for _, bs := range mitGot.BoardResults {
-		if len(bs.Mitigation) != 4 {
-			t.Fatalf("board %d carries %d arms, want 4", bs.Board, len(bs.Mitigation))
-		}
-		for _, arm := range bs.Mitigation {
-			if len(arm.Levels) == 0 {
-				t.Fatalf("board %d arm %q has no levels through the fan-in", bs.Board, arm.Arm)
+			if sharded != 6 {
+				t.Fatalf("shards cover %d boards, want 6", sharded)
 			}
-		}
-	}
-	// The downstream per-level firehose survives re-stamping: the merged
-	// stream carries level events, densely sequenced.
-	levels := 0
-	if err := fc.Events(ctx, mitJob.ID, func(ev server.JobEvent) error {
-		if ev.Type == "level" {
-			levels++
-			if ev.V <= 0 {
-				t.Fatalf("re-stamped level event lost its voltage: %+v", ev)
+			// Union queries see every downstream's store: 6 characterizations.
+			fvms, err := fc.FVMs(ctx, "", "")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+			if len(fvms) != 6 {
+				t.Fatalf("federated FVM union has %d records, want 6", len(fvms))
+			}
+			vmins, err := fc.Vmin(ctx, "", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(vmins) != 6 {
+				t.Fatalf("federated vmin union has %d rows, want 6", len(vmins))
+			}
+		}},
+		{"temperature", server.CampaignRequest{
+			Kind: "temperature-study", Boards: boards, Runs: 2,
+			Temperature: &server.TemperatureSpec{Temps: []float64{50, 70}},
+		}, nil},
+		{"pattern", server.CampaignRequest{
+			Kind: "pattern-study", Boards: boards, Runs: 2,
+			Pattern: &server.PatternSpec{Fills: []string{"ffff", "0000", "random"}},
+		}, nil},
+		{"thresholds", server.CampaignRequest{Kind: "threshold-discovery", Boards: boards}, nil},
+		{"nn-inference", inferenceRequest(t, boards[:1]), nil},
+		// The same fleet compares all four mitigation arms (iso-energy
+		// DVFS); every per-board arm curve must cross the fan-in whole.
+		{"mitigation", server.NewMitigationRequest(boards, server.MitigationSpec{IsoEnergy: true}),
+			func(t *testing.T, job server.JobStatus) {
+				for _, bs := range job.BoardResults {
+					if len(bs.Mitigation) != 4 {
+						t.Fatalf("board %d carries %d arms, want 4", bs.Board, len(bs.Mitigation))
+					}
+					for _, arm := range bs.Mitigation {
+						if len(arm.Levels) == 0 {
+							t.Fatalf("board %d arm %q has no levels through the fan-in", bs.Board, arm.Arm)
+						}
+					}
+				}
+				// The downstream per-level events survive re-stamping: the
+				// merged stream carries level events with their voltages.
+				levels := 0
+				if err := fc.Events(ctx, job.ID, func(ev server.JobEvent) error {
+					if ev.Type == "level" {
+						levels++
+						if ev.V <= 0 {
+							t.Fatalf("re-stamped level event lost its voltage: %+v", ev)
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if levels == 0 {
+					t.Fatal("no per-level events crossed the federation fan-in")
+				}
+			}},
 	}
-	if levels == 0 {
-		t.Fatal("no per-level events crossed the federation fan-in")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(cl *server.Client) server.JobStatus {
+				t.Helper()
+				job, err := cl.Submit(ctx, tc.req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				final, err := cl.Wait(ctx, job.ID, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if final.State != server.JobDone {
+					t.Fatalf("job %s ended %q (%s)", final.ID, final.State, final.Error)
+				}
+				return final
+			}
+			want, got := run(solo), run(fc)
+			if got.Progress != 100 {
+				t.Fatalf("federated job finished at %.2f%%", got.Progress)
+			}
+			if got.Aggregate == nil || got.Aggregate.Completed != len(got.BoardResults) {
+				t.Fatalf("federated aggregate %+v does not cover the %d boards", got.Aggregate, len(got.BoardResults))
+			}
+			if !reflect.DeepEqual(got.Aggregate, want.Aggregate) {
+				t.Fatalf("federated aggregate diverged:\n  fed:  %+v\n  solo: %+v", got.Aggregate, want.Aggregate)
+			}
+			if !reflect.DeepEqual(got.BoardResults, want.BoardResults) {
+				t.Fatalf("federated board rows diverged:\n  fed:  %+v\n  solo: %+v", got.BoardResults, want.BoardResults)
+			}
+			if tc.check != nil {
+				tc.check(t, got)
+			}
+		})
 	}
 }
 
@@ -543,5 +553,161 @@ func TestCoordinatorRestartResume(t *testing.T) {
 			t.Fatalf("resumed event %d gseq %d not beyond %d", i, ev.GSeq, prev)
 		}
 		prev = ev.GSeq
+	}
+}
+
+// TestFederatedResumeSurfacesTruncation pins the coordinator's handling of
+// the store's truncation markers: once retention has trimmed a finished
+// job's journaled prefix, a deep resume from sequence 0 must lead with a
+// "truncated" event naming the lost edge, then continue densely to the
+// terminal event — never a silent gap.
+func TestFederatedResumeSurfacesTruncation(t *testing.T) {
+	ctx := context.Background()
+	d1 := newDaemon(t, server.Config{})
+	dir := t.TempDir()
+	// life boots a coordinator over the journal directory with tiny
+	// segments and a two-event retention bound, runs fn against it, and
+	// shuts both down.
+	life := func(fn func(fc *server.Client)) {
+		st, err := store.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetEventLogTuning(4, 1<<30) // sealing only via explicit CompactJob
+		c, fc := newFed(t, fed.Config{Downstreams: []string{d1.URL}, Store: st, JobRetain: 2})
+		fn(fc)
+		if err := c.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var id string
+	var want int
+	life(func(fc *server.Client) {
+		job, err := fc.Submit(ctx, fleetCampaign())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = job.ID
+		if err := fc.Events(ctx, id, func(server.JobEvent) error { want++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Seal the finished log into segments, deterministically standing in
+	// for the background compactor, so the next boot's retention pass has
+	// whole segments to drop.
+	st, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetEventLogTuning(4, 1<<30)
+	if err := st.CompactJob(id); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	life(func(*server.Client) {}) // replay applies JobRetain to the terminal job
+
+	life(func(fc *server.Client) {
+		var evs []server.JobEvent
+		if err := fc.Events(ctx, id, func(ev server.JobEvent) error {
+			evs = append(evs, ev)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) < 2 || evs[0].Type != "truncated" {
+			t.Fatalf("deep resume of a trimmed job began with %+v, want a truncated marker", evs)
+		}
+		if len(evs)-1 >= want {
+			t.Fatalf("resume served %d events of %d after the marker; retention trimmed nothing", len(evs)-1, want)
+		}
+		for i, ev := range evs[1:] {
+			if ev.Seq != evs[0].Seq+1+i {
+				t.Fatalf("event %d after the marker has seq %d, want %d", i, ev.Seq, evs[0].Seq+1+i)
+			}
+		}
+		if last := evs[len(evs)-1]; last.Type != "campaign" || last.State != server.JobDone {
+			t.Fatalf("resume ends with %q/%q, want the terminal campaign event", last.Type, last.State)
+		}
+	})
+}
+
+// TestCoordinatorReplayHistoryBound restarts a coordinator over a journal
+// holding more jobs than its MaxJobHistory: replay adopts only the newest,
+// unjournals the rest, keeps numbering past every journaled id, and later
+// evictions unjournal their jobs too.
+func TestCoordinatorReplayHistoryBound(t *testing.T) {
+	ctx := context.Background()
+	d1 := newDaemon(t, server.Config{})
+	st := store.NewMem()
+	const journaled, bound = 5, 3
+	for i := 1; i <= journaled; i++ {
+		id := fmt.Sprintf("fed-%04d", i)
+		payload, err := json.Marshal(map[string]any{"status": server.JobStatus{
+			ID: id, Kind: "characterization", State: server.JobDone, Boards: 1, Progress: 100, Created: time.Now(),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutJob(&store.JobRecord{ID: id, Seq: i, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, fc := newFed(t, fed.Config{Downstreams: []string{d1.URL}, Store: st, MaxJobHistory: bound})
+
+	// held lists the job ids the coordinator serves and the ids its store
+	// still journals.
+	held := func() (listed, stored []string) {
+		jobs, err := fc.Jobs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, js := range jobs {
+			listed = append(listed, js.ID)
+		}
+		recs, err := st.ListJobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			stored = append(stored, rec.ID)
+		}
+		return listed, stored
+	}
+	wantIDs := []string{"fed-0003", "fed-0004", "fed-0005"}
+	if listed, stored := held(); !slices.Equal(listed, wantIDs) || !slices.Equal(stored, wantIDs) {
+		t.Fatalf("after replay: listed %v, journaled %v, want both %v", listed, stored, wantIDs)
+	}
+
+	// A new job continues the numbering, and its completion evicts the
+	// oldest adopted job from the table and the journal alike.
+	req := fleetCampaign()
+	req.Boards = req.Boards[:1]
+	job, err := fc.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID != "fed-0006" {
+		t.Fatalf("post-replay submission got id %s, want fed-0006", job.ID)
+	}
+	if final, err := fc.Wait(ctx, job.ID, nil); err != nil || final.State != server.JobDone {
+		t.Fatalf("post-replay campaign: state=%v err=%v", final.State, err)
+	}
+	wantIDs = []string{"fed-0004", "fed-0005", "fed-0006"}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		// Eviction follows the terminal journal write, which the SSE
+		// terminal event Wait returns on can race ahead of.
+		listed, stored := held()
+		if slices.Equal(listed, wantIDs) && slices.Equal(stored, wantIDs) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after eviction: listed %v, journaled %v, want both %v", listed, stored, wantIDs)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

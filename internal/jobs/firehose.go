@@ -1,15 +1,15 @@
-package server
+package jobs
 
 import (
 	"sort"
 	"sync"
 )
 
-// defaultFirehoseBuffer bounds the firehose's in-memory replay log when
-// Config.FirehoseBuffer is zero.
+// defaultFirehoseBuffer bounds the firehose's in-memory replay window when
+// Options.FirehoseBuffer is zero.
 const defaultFirehoseBuffer = 8192
 
-// firehose is the server-wide event multiplexer behind GET /v1/events:
+// firehose is the process-wide event multiplexer behind GET /v1/events:
 // every job event, tagged with its job id and stamped with a global
 // sequence number, in one totally ordered stream. The global sequence is
 // what makes the stream resumable — it rides each event into the job
@@ -23,9 +23,9 @@ const defaultFirehoseBuffer = 8192
 // for a connected subscriber, because delivery is pull-based off this log.
 type firehose struct {
 	mu     sync.Mutex
-	next   int64      // next global sequence to assign (starts at 1)
-	low    int64      // every event with GSeq > low is retained in buf
-	buf    []JobEvent // recent events in GSeq order
+	next   int64   // next global sequence to assign (starts at 1)
+	low    int64   // every event with GSeq > low is retained in buf
+	buf    []Event // recent events in GSeq order
 	max    int
 	notify chan struct{}
 }
@@ -41,29 +41,25 @@ func newFirehose(max int) *firehose {
 // log, and wakes subscribers. The stamp is written through the pointer so
 // the per-job event log keeps it too — that is how the global cursor
 // survives in the journal.
-func (f *firehose) append(ev *JobEvent) {
+func (f *firehose) append(ev *Event) {
 	f.mu.Lock()
 	ev.GSeq = f.next
 	f.next++
-	f.admitLocked(*ev)
-	close(f.notify)
-	f.notify = make(chan struct{})
-	f.mu.Unlock()
-}
-
-// admitLocked appends one event and trims the log to its window; callers
-// hold f.mu. Trimming reallocates so the dropped prefix is actually freed,
-// and raises low past the dropped events — cursors below it must page from
-// the journal instead.
-func (f *firehose) admitLocked(ev JobEvent) {
-	f.buf = append(f.buf, ev)
-	if len(f.buf) > f.max {
-		drop := len(f.buf) - f.max
+	f.buf = append(f.buf, *ev)
+	if drop := len(f.buf) - f.max; drop > 0 {
 		if g := f.buf[drop-1].GSeq; g > f.low {
 			f.low = g
 		}
-		f.buf = append([]JobEvent(nil), f.buf[drop:]...)
+		// Reslice instead of copying the window: the next append that
+		// outgrows the shrinking capacity moves only the live events to a
+		// fresh array, and the dropped prefix goes with the old one. The
+		// window copy is amortized over many appends, not paid on each one
+		// (under fh.mu, which nests inside every job lock).
+		f.buf = f.buf[drop:]
 	}
+	close(f.notify)
+	f.notify = make(chan struct{})
+	f.mu.Unlock()
 }
 
 // startAfter resumes the sequence counter after a restart: the next stamp
@@ -93,14 +89,14 @@ func (f *firehose) lowWater() int64 {
 // use, minus the terminal flag (the firehose never ends). ok is false when
 // the cursor predates the window; the caller must page the gap from the
 // journal (or clamp to lowWater when there is none).
-func (f *firehose) since(after int64) ([]JobEvent, <-chan struct{}, bool) {
+func (f *firehose) since(after int64) ([]Event, <-chan struct{}, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if after < f.low {
 		return nil, f.notify, false
 	}
 	i := sort.Search(len(f.buf), func(i int) bool { return f.buf[i].GSeq > after })
-	var evs []JobEvent
+	var evs []Event
 	if i < len(f.buf) {
 		evs = append(evs, f.buf[i:]...)
 	}

@@ -3,169 +3,36 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/engine"
+	"repro/internal/jobs"
 	"repro/internal/platform"
 )
 
-// Job is one queued or running campaign. All mutable state is guarded by mu;
-// notify is closed and replaced on every change, which is what lets any
-// number of SSE streams wait for "something new" without polling. Every
-// event additionally flows through the server's firehose (which stamps it
-// with a global sequence) and, when journaling is on, write-throughs the
-// job's document into the store.
+// Job is one queued or running campaign: the kernel job (lifecycle, event
+// log, journal) plus what only the daemon has — the engine inputs and, once
+// finished, the campaign's wire results.
 type Job struct {
-	id        string
-	seq       int // table-assigned creation order; ids are for the wire
-	kind      engine.CampaignKind
+	*jobs.Job
 	campaign  engine.Campaign
 	inventory []platform.Platform
-	// ctx/cancel exist from submission: a DELETE can always cancel, whether
-	// the job is still queued, mid-handoff, or running.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	fh *firehose // stamps global sequences; never nil on a served job
-	jn *journal  // nil when journaling is disabled
-	// jnMu serializes this job's journal writes with their snapshots (and
-	// with eviction's record delete); it nests OUTSIDE mu and must never
-	// be taken while holding it. jnDropped is guarded by jnMu.
-	jnMu      sync.Mutex
-	jnDropped bool
-	// onTerminal runs once, after the terminal transition is visible, so
-	// the table can evict finished history and the server can GC the store
-	// without either layer reaching into the other's locks.
-	onTerminal func()
-
-	mu       sync.Mutex
-	state    JobState
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	progress float64
-	// events is the in-memory tail of the job's event log, holding
-	// sequences [eventsBase, eventsBase+len(events)). With journaling on,
-	// the tail is trimmed to memWindow once events are durably appended —
-	// older sequences are paged back from the journal on demand — so a
-	// long campaign's history does not live in RAM twice. Without a
-	// journal the tail is never trimmed and base stays 0.
-	events     []JobEvent
-	eventsBase int
-	// jnPending queues events appended under mu but not yet written to the
-	// journal; journal.sync drains it in order. Always empty when jn is nil.
-	jnPending []JobEvent
-	memWindow int
-	// jnDegraded marks that a journal write for this job has failed and the
-	// one-time journal_degraded marker event has been emitted. The job keeps
-	// running — durability degrades, service does not.
-	jnDegraded bool
-	result     *engine.CampaignResult
-	err        error
-	notify     chan struct{}
-	// restored holds the journaled status snapshot of a job replayed from
-	// a previous process. Such jobs never run again; their status is
-	// served from this snapshot instead of recomputed from engine results.
-	restored *JobStatus
+	// agg and rows are the finished campaign's wire results, projected once
+	// by finish; written and read under the kernel job's lock.
+	agg  *engine.Aggregate
+	rows []BoardStatus
 }
 
-func newJob(id string, c engine.Campaign, inv []platform.Platform, ctx context.Context, cancel context.CancelFunc, fh *firehose, jn *journal, window int) *Job {
-	return &Job{
-		id: id, kind: c.Kind, campaign: c, inventory: inv, ctx: ctx, cancel: cancel,
-		fh: fh, jn: jn, memWindow: window,
-		state: JobQueued, created: time.Now(), notify: make(chan struct{}),
-	}
+// newJob registers a queued campaign in the kernel's table.
+func (s *Server) newJob(c engine.Campaign, inv []platform.Platform) *Job {
+	j := &Job{campaign: c, inventory: inv}
+	j.Job = s.k.Create(c.Kind.String(), len(inv), j.statusBody)
+	return j
 }
 
-// signalLocked wakes every waiter; callers hold j.mu.
-func (j *Job) signalLocked() {
-	close(j.notify)
-	j.notify = make(chan struct{})
-}
-
-// queueJournalLocked enqueues one event for the journal; callers hold j.mu
-// and must call j.jn.sync(j) after releasing it. With journaling off the
-// queue must stay empty — nothing would ever drain it.
-func (j *Job) queueJournalLocked(ev JobEvent) {
-	if j.jn != nil {
-		j.jnPending = append(j.jnPending, ev)
-	}
-}
-
-// noteJournalDegraded appends the one-time journal_degraded marker event
-// after a failed journal write: the job keeps running, and live streams
-// learn its durable history has a gap instead of discovering it after a
-// restart. Callers hold jnMu (both journal error paths do), so the marker
-// is only queued for the journal — the next successful drain persists it; a
-// recursive jn.sync here would deadlock on jnMu. The marker draws a real
-// Seq, so live SSE stays dense. Terminal and replayed jobs are skipped:
-// their streams have already been told the job's story ended.
-func (j *Job) noteJournalDegraded() {
-	j.mu.Lock()
-	if j.jnDegraded || j.restored != nil || j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.jnDegraded = true
-	ev := JobEvent{
-		Seq: j.eventsBase + len(j.events), Type: "journal_degraded", Job: j.id,
-		Progress: j.progress,
-		Error:    "journal write failed: event history may not survive a restart",
-	}
-	j.fh.append(&ev)
-	j.events = append(j.events, ev)
-	j.queueJournalLocked(ev)
-	j.signalLocked()
-	j.mu.Unlock()
-}
-
-// trimJournaled drops in-memory events below upto (the journal's durable
-// frontier) beyond the configured window, so RAM holds a bounded recent
-// tail and the journal serves the rest. Never trims past what is durable:
-// an SSE replay must not depend on a write that failed.
-func (j *Job) trimJournaled(upto int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.memWindow <= 0 {
-		return
-	}
-	cut := j.eventsBase + len(j.events) - j.memWindow
-	if cut > upto {
-		cut = upto
-	}
-	if cut <= j.eventsBase {
-		return
-	}
-	j.events = append([]JobEvent(nil), j.events[cut-j.eventsBase:]...)
-	j.eventsBase = cut
-}
-
-// setRunning transitions queued → running. It reports false when the job was
-// cancelled while queued, in which case the worker must skip it.
-func (j *Job) setRunning() bool {
-	j.mu.Lock()
-	if j.state != JobQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = JobRunning
-	j.started = time.Now()
-	j.signalLocked()
-	j.mu.Unlock()
-	j.jn.putMeta(j)
-	return true
-}
-
-// appendEngineEvent records one engine event under the server's sequence
-// numbering, pushes it through the firehose, journals the job, and wakes
-// the streams.
+// appendEngineEvent records one engine event in the job's log.
 func (j *Job) appendEngineEvent(ev engine.Event) {
-	je := JobEvent{
+	je := jobs.Event{
 		Type:       ev.Kind.String(),
-		Job:        j.id,
 		Board:      ev.Board,
 		Platform:   ev.Platform,
 		Serial:     ev.Serial,
@@ -178,401 +45,106 @@ func (j *Job) appendEngineEvent(ev engine.Event) {
 	if ev.Err != nil {
 		je.Error = ev.Err.Error()
 	}
-	j.mu.Lock()
-	// Concurrent boards race to emit; monotonicize so dashboards never see
-	// the bar move backwards.
-	if je.Progress < j.progress {
-		je.Progress = j.progress
-	}
-	j.progress = je.Progress
-	je.Seq = j.eventsBase + len(j.events)
-	j.fh.append(&je) // stamps je.GSeq; fh.mu nests inside j.mu everywhere
-	j.events = append(j.events, je)
-	j.queueJournalLocked(je)
-	j.signalLocked()
-	j.mu.Unlock()
-	j.jn.sync(j)
+	j.Append(je)
 }
 
-// finish records the campaign outcome, appends the terminal event, wakes
-// the streams one last time, journals the terminal document, and fires the
-// completion hook.
+// finish records the campaign outcome and moves the job to its terminal
+// state.
 //
 // Cancellation is classified by intent, not by error identity: an engine
 // error that wraps context.DeadlineExceeded, or a board-level error that
 // does not wrap either sentinel at all, still means "the job's context was
-// ended on purpose" whenever j.ctx is done — reporting such a job as
-// failed would send an operator hunting for a fault that was actually
-// their own DELETE.
+// ended on purpose" whenever the job's context is done — reporting such a
+// job as failed would send an operator hunting for a fault that was
+// actually their own DELETE.
 func (j *Job) finish(res *engine.CampaignResult, err error) {
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.result = res
-	j.err = err
-	// The bulk inference payload (network words + test set) is dead weight
-	// once the job is terminal; drop the job's copy so finished history
-	// entries don't pin megabytes each. The engine ran on its own copy.
-	j.campaign.Net, j.campaign.TestX, j.campaign.TestY = nil, nil, nil
-	switch {
-	case err == nil:
-		j.state = JobDone
-		j.progress = 100
-	case errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded),
-		j.ctx.Err() != nil:
-		j.state = JobCancelled
-	default:
-		j.state = JobFailed
-	}
-	te := JobEvent{
-		Seq: j.eventsBase + len(j.events), Type: "campaign", Job: j.id,
-		Progress: j.progress, State: j.state,
-	}
+	state, msg := jobs.Done, ""
 	if err != nil {
-		te.Error = err.Error()
+		msg = err.Error()
+		state = jobs.Failed
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || j.Context().Err() != nil {
+			state = jobs.Cancelled
+		}
 	}
-	j.fh.append(&te)
-	j.events = append(j.events, te)
-	j.queueJournalLocked(te)
-	j.signalLocked()
-	j.mu.Unlock()
-	j.jn.sync(j)
-	j.jn.putMeta(j)
-	j.jn.retainTerminal(j.id)
-	if j.onTerminal != nil {
-		j.onTerminal()
+	// Project the results before the terminal transition, and copy them out
+	// of res: a finished job in the history keeps its wire rows, not the
+	// engine's sweeps and FVMs.
+	var agg *engine.Aggregate
+	var rows []BoardStatus
+	if res != nil {
+		a := res.Agg
+		agg = &a
+		for i := range res.Boards {
+			rows = append(rows, boardStatus(&res.Boards[i]))
+		}
 	}
+	j.Finish(state, msg, func() { j.agg, j.rows = agg, rows })
 }
 
-// markCancelled flips a still-queued job straight to cancelled (running jobs
-// go through finish when RunCampaign returns ctx.Err()).
-func (j *Job) markCancelled() {
-	j.mu.Lock()
-	if j.state != JobQueued {
-		j.mu.Unlock()
+// statusBody adds the aggregate and per-board rows to a finished job's
+// status.
+func (j *Job) statusBody(st *jobs.Status, includeResults bool) {
+	if j.agg == nil || !includeResults {
 		return
 	}
-	j.state = JobCancelled
-	j.finished = time.Now()
-	j.campaign.Net, j.campaign.TestX, j.campaign.TestY = nil, nil, nil
-	te := JobEvent{
-		Seq: j.eventsBase + len(j.events), Type: "campaign", Job: j.id, Progress: j.progress,
-		State: JobCancelled, Error: context.Canceled.Error(),
-	}
-	j.fh.append(&te)
-	j.events = append(j.events, te)
-	j.queueJournalLocked(te)
-	j.signalLocked()
-	j.mu.Unlock()
-	j.jn.sync(j)
-	j.jn.putMeta(j)
-	j.jn.retainTerminal(j.id)
-	if j.onTerminal != nil {
-		j.onTerminal()
-	}
+	agg := *j.agg
+	st.Aggregate = &agg
+	st.BoardResults = append([]BoardStatus(nil), j.rows...)
 }
 
-// status snapshots the job for the wire. includeResults controls whether
-// the aggregate and per-board rows ride along: detail endpoints want them,
-// but the jobs listing would otherwise ship O(jobs × boards) payload on
-// every dashboard poll.
-func (j *Job) status(includeResults bool) JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked(includeResults)
-}
-
-func (j *Job) statusLocked(includeResults bool) JobStatus {
-	if j.restored != nil {
-		// Replayed from the journal: the snapshot is the truth — the
-		// engine results that produced it belong to a dead process.
-		st := *j.restored
-		if !includeResults {
-			st.Aggregate = nil
-			st.BoardResults = nil
+// boardStatus projects one board's engine result onto its wire row.
+func boardStatus(r *engine.BoardResult) BoardStatus {
+	sample := r.Sample()
+	bs := BoardStatus{
+		Board: r.Board, Platform: r.Platform, Serial: r.Serial, FromCache: r.FromCache,
+		Sample: &sample,
+	}
+	if r.Err != nil {
+		bs.Error = r.Err.Error()
+	}
+	// Temperature studies leave Sweep nil and fill TempSweeps; the last
+	// (hottest) sweep is the one the aggregate reports too.
+	s := r.Sweep
+	if s == nil && len(r.TempSweeps) > 0 {
+		s = r.TempSweeps[len(r.TempSweeps)-1]
+	}
+	if s != nil && len(s.Levels) > 0 {
+		bs.FaultsPerMbit = s.Final().FaultsPerMbit
+		bs.VminV = engine.ObservedVmin(s)
+		bs.VcrashV = s.Final().V
+	}
+	if th := r.BRAMThresholds; th != nil {
+		bs.VminV, bs.VcrashV = th.Vmin, th.Vcrash
+	}
+	if th := r.IntThresholds; th != nil {
+		bs.IntVminV, bs.IntVcrashV = th.Vmin, th.Vcrash
+	}
+	if r.FVM != nil {
+		bs.ZeroShare = r.FVM.ZeroShare()
+	}
+	for _, pr := range r.Patterns {
+		bs.Patterns = append(bs.Patterns, PatternStatus{
+			Name: pr.Name, FaultsPerMbit: pr.FaultsPerMbit, Flip10Share: pr.Flip10Share,
+		})
+	}
+	for _, ir := range r.Inference {
+		bs.Inference = append(bs.Inference, InferencePoint{
+			V: ir.V, Error: ir.Error, WeightFault: ir.WeightFault,
+		})
+	}
+	for ai := range r.Mitigation {
+		arm := &r.Mitigation[ai]
+		as := MitigationArmStatus{
+			Arm: arm.Arm, MinSafeV: arm.MinSafeV, EnergySavings: arm.EnergySavings,
 		}
-		return st
-	}
-	st := JobStatus{
-		ID:       j.id,
-		Kind:     j.kind.String(),
-		State:    j.state,
-		Boards:   len(j.inventory),
-		Progress: j.progress,
-		Created:  j.created,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	if j.result != nil && includeResults {
-		agg := j.result.Agg
-		st.Aggregate = &agg
-		for i := range j.result.Boards {
-			r := &j.result.Boards[i]
-			bs := BoardStatus{
-				Board: r.Board, Platform: r.Platform, Serial: r.Serial, FromCache: r.FromCache,
-			}
-			if r.Err != nil {
-				bs.Error = r.Err.Error()
-			}
-			// Temperature studies leave Sweep nil and fill TempSweeps; the
-			// last (hottest) sweep is the one the aggregate reports too.
-			s := r.Sweep
-			if s == nil && len(r.TempSweeps) > 0 {
-				s = r.TempSweeps[len(r.TempSweeps)-1]
-			}
-			if s != nil && len(s.Levels) > 0 {
-				bs.FaultsPerMbit = s.Final().FaultsPerMbit
-				bs.VminV = engine.ObservedVmin(s)
-				bs.VcrashV = s.Final().V
-			}
-			if th := r.BRAMThresholds; th != nil {
-				bs.VminV, bs.VcrashV = th.Vmin, th.Vcrash
-			}
-			if th := r.IntThresholds; th != nil {
-				bs.IntVminV, bs.IntVcrashV = th.Vmin, th.Vcrash
-			}
-			if r.FVM != nil {
-				bs.ZeroShare = r.FVM.ZeroShare()
-			}
-			for _, pr := range r.Patterns {
-				bs.Patterns = append(bs.Patterns, PatternStatus{
-					Name: pr.Name, FaultsPerMbit: pr.FaultsPerMbit, Flip10Share: pr.Flip10Share,
-				})
-			}
-			for _, ir := range r.Inference {
-				bs.Inference = append(bs.Inference, InferencePoint{
-					V: ir.V, Error: ir.Error, WeightFault: ir.WeightFault,
-				})
-			}
-			for ai := range r.Mitigation {
-				arm := &r.Mitigation[ai]
-				as := MitigationArmStatus{
-					Arm: arm.Arm, MinSafeV: arm.MinSafeV, EnergySavings: arm.EnergySavings,
-				}
-				for _, pt := range arm.Levels {
-					as.Levels = append(as.Levels, MitigationLevel{
-						V: pt.V, FaultsPerMbit: pt.FaultsPerMbit, WordErrors: pt.WordErrors,
-						Accuracy: pt.Accuracy, EnergyJ: pt.EnergyJ, FreqScale: pt.FreqScale,
-						Corrected: pt.Corrected, Detected: pt.Detected, Silent: pt.Silent,
-					})
-				}
-				bs.Mitigation = append(bs.Mitigation, as)
-			}
-			st.BoardResults = append(st.BoardResults, bs)
+		for _, pt := range arm.Levels {
+			as.Levels = append(as.Levels, MitigationLevel{
+				V: pt.V, FaultsPerMbit: pt.FaultsPerMbit, WordErrors: pt.WordErrors,
+				Accuracy: pt.Accuracy, EnergyJ: pt.EnergyJ, FreqScale: pt.FreqScale,
+				Corrected: pt.Corrected, Detected: pt.Detected, Silent: pt.Silent,
+			})
 		}
+		bs.Mitigation = append(bs.Mitigation, as)
 	}
-	return st
-}
-
-// eventPageSize bounds how many journaled events one eventsSince call pages
-// back into memory for a deep resume; the SSE loop drains page after page.
-const eventPageSize = 512
-
-// eventsSince returns the events at sequence ≥ from, whether the job is
-// terminal, and a channel that is closed on the next change. The triple lets
-// an SSE stream drain history, then block until there is more. Sequences
-// below the in-memory tail — trimmed live history, or any history of a job
-// restored after a restart — are paged from the journal, so a client can
-// resume from sequence 0 without the server holding the log in RAM.
-func (j *Job) eventsSince(from int) ([]JobEvent, bool, <-chan struct{}) {
-	j.mu.Lock()
-	base := j.eventsBase
-	total := base + len(j.events)
-	terminal := j.state.Terminal()
-	notify := j.notify
-	// from == total is a legitimate tail-wait; anything outside [0, total]
-	// is a bogus cursor and replays from the start — otherwise a
-	// beyond-the-log cursor would wait forever and never see the terminal
-	// event.
-	if from < 0 || from > total {
-		from = 0
-	}
-	if from >= base || j.jn == nil {
-		if from < base {
-			from = base // journaling off: the in-memory tail is all there is
-		}
-		var evs []JobEvent
-		if from < total {
-			evs = append(evs, j.events[from-base:]...)
-		}
-		j.mu.Unlock()
-		return evs, terminal, notify
-	}
-	j.mu.Unlock()
-	// Cursor predates the tail: page the gap from the journal. A page may
-	// overlap the tail (the same immutable events) or come back short when
-	// best-effort writes were dropped; either way the cursor advances by
-	// what is served and the next call continues from there.
-	if evs := j.jn.readEvents(j.id, from, eventPageSize); len(evs) > 0 {
-		return evs, terminal, notify
-	}
-	// Nothing journaled at this depth (a gap): fall forward to the tail.
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]JobEvent(nil), j.events...), terminal, notify
-}
-
-// jobTable is the server's job registry. Retention is bounded: beyond max
-// entries, the oldest terminal jobs are evicted (their FVMs live on in the
-// store; only the job row and its event log go). Live jobs are never
-// evicted, so the table can exceed max only while that many campaigns are
-// actually queued or running.
-type jobTable struct {
-	mu    sync.Mutex
-	seq   int
-	max   int
-	jobs  map[string]*Job
-	order []string // creation order, for oldest-first eviction
-	// onEvict is told which jobs were dropped (outside the table lock), so
-	// the server can unjournal them and keep the store's journal in step
-	// with the table's retention.
-	onEvict func(jobs []*Job)
-}
-
-func newJobTable(max int, onEvict func(jobs []*Job)) *jobTable {
-	if max <= 0 {
-		max = 256
-	}
-	if onEvict == nil {
-		onEvict = func([]*Job) {}
-	}
-	return &jobTable{max: max, jobs: make(map[string]*Job), onEvict: onEvict}
-}
-
-// terminal reports the job's state under its own lock.
-func (j *Job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
-}
-
-// create registers a new job for the campaign and returns it.
-func (t *jobTable) create(c engine.Campaign, inv []platform.Platform, ctx context.Context, cancel context.CancelFunc, fh *firehose, jn *journal, window int, onTerminal func()) *Job {
-	t.mu.Lock()
-	t.seq++
-	id := fmt.Sprintf("job-%04d", t.seq)
-	j := newJob(id, c, inv, ctx, cancel, fh, jn, window)
-	j.seq = t.seq
-	j.onTerminal = onTerminal
-	t.jobs[id] = j
-	t.order = append(t.order, id)
-	evicted := t.evictLocked()
-	t.mu.Unlock()
-	if len(evicted) > 0 {
-		t.onEvict(evicted)
-	}
-	return j
-}
-
-// adopt registers a job replayed from the journal under its original id and
-// sequence, so post-restart submissions continue the numbering.
-func (t *jobTable) adopt(j *Job) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if j.seq > t.seq {
-		t.seq = j.seq
-	}
-	t.jobs[j.id] = j
-	t.order = append(t.order, j.id)
-}
-
-// bumpSeq raises the id sequence to at least seq — covering journaled jobs
-// that were themselves evicted during replay but whose ids must not be
-// reissued.
-func (t *jobTable) bumpSeq(seq int) {
-	t.mu.Lock()
-	if seq > t.seq {
-		t.seq = seq
-	}
-	t.mu.Unlock()
-}
-
-// sweep evicts excess terminal jobs. The server calls it from each job's
-// completion hook, so a table that filled up with live jobs shrinks as
-// soon as they finish rather than on the next submission.
-func (t *jobTable) sweep() {
-	t.mu.Lock()
-	evicted := t.evictLocked()
-	t.mu.Unlock()
-	if len(evicted) > 0 {
-		t.onEvict(evicted)
-	}
-}
-
-// evictLocked drops the oldest terminal jobs until the table fits max,
-// compacting the order slice in a single pass (the old per-entry
-// slice-delete made a full table turn quadratic). Live jobs are never
-// evicted, so the table exceeds max only while that many campaigns are
-// actually queued or running.
-func (t *jobTable) evictLocked() []*Job {
-	excess := len(t.jobs) - t.max
-	if excess <= 0 {
-		return nil
-	}
-	var evicted []*Job
-	kept := t.order[:0]
-	for _, id := range t.order {
-		j, ok := t.jobs[id]
-		if !ok {
-			continue
-		}
-		if excess > 0 && j.terminal() {
-			delete(t.jobs, id)
-			evicted = append(evicted, j)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	t.order = kept
-	return evicted
-}
-
-// remove deregisters a job that was never admitted to the queue, so a
-// rejected submission leaves no phantom entry in the listing.
-func (t *jobTable) remove(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.jobs, id)
-	for i, o := range t.order {
-		if o == id {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// get resolves a job by id.
-func (t *jobTable) get(id string) (*Job, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	j, ok := t.jobs[id]
-	return j, ok
-}
-
-// list snapshots every job's status, oldest first. Ordering follows the
-// creation sequence, not the id string — "job-10000" must list after
-// "job-9999", which lexicographic id order would get wrong.
-func (t *jobTable) list() []JobStatus {
-	t.mu.Lock()
-	jobs := make([]*Job, 0, len(t.jobs))
-	for _, j := range t.jobs {
-		jobs = append(jobs, j)
-	}
-	t.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
-	out := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.status(false))
-	}
-	return out
+	return bs
 }

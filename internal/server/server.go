@@ -37,7 +37,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -51,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/jobs"
 	"repro/internal/store"
 )
 
@@ -120,15 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBoards <= 0 {
 		c.MaxBoards = 64
 	}
-	if c.MaxJobHistory <= 0 {
-		c.MaxJobHistory = 256
-	}
-	if c.SSEKeepAlive <= 0 {
-		c.SSEKeepAlive = 15 * time.Second
-	}
-	if c.JobEventWindow == 0 {
-		c.JobEventWindow = 2048
-	}
 	return c
 }
 
@@ -136,18 +127,15 @@ func (c Config) withDefaults() Config {
 // HTTP handlers over both. Create with New, serve via Handler, stop with
 // Shutdown.
 type Server struct {
-	cfg  Config
-	mux  *http.ServeMux
-	jobs *jobTable
+	cfg Config
+	mux *http.ServeMux
+	// k is the job/event kernel: job table, firehose, journal, SSE.
+	k *jobs.Kernel
 	// cache is shared by every job's fleet, so concurrent campaigns
 	// characterizing the same board collapse into one sweep (the engine's
 	// per-key flights) and memory hits survive across jobs, not just
 	// within one.
 	cache *engine.FVMCache
-	// fh is the /v1/events multiplexer; jn is the job journal (nil when
-	// disabled).
-	fh *firehose
-	jn *journal
 
 	baseCtx context.Context    // parent of every job context
 	abort   context.CancelFunc // forced-shutdown switch
@@ -173,19 +161,21 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		cache:   cache,
-		fh:      newFirehose(cfg.FirehoseBuffer),
 		baseCtx: ctx,
 		abort:   abort,
 		queue:   make(chan *Job, cfg.QueueDepth),
 	}
-	if !cfg.DisableJournal {
-		s.jn = newJournal(cfg.Store, cfg.JobRetain)
+	opts := jobs.Options{
+		Base: ctx, IDPrefix: "job", Retain: cfg.JobRetain, MaxHistory: cfg.MaxJobHistory,
+		FirehoseBuffer: cfg.FirehoseBuffer, EventWindow: cfg.JobEventWindow,
+		KeepAlive: cfg.SSEKeepAlive, OnTerminal: s.runGC,
 	}
-	s.jobs = newJobTable(cfg.MaxJobHistory, func(jobs []*Job) { s.jn.drop(jobs...) })
-	if s.jn != nil {
-		if err := s.replayJournal(); err != nil {
-			return nil, err
-		}
+	if !cfg.DisableJournal {
+		opts.Journal = cfg.Store
+	}
+	s.k = jobs.New(opts)
+	if err := s.k.Replay("daemon restarted mid-campaign"); err != nil {
+		return nil, err
 	}
 	s.runGC()
 	s.routes()
@@ -196,16 +186,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// jobCompleted is every job's terminal hook: shrink the history table and
-// re-bound the store.
-func (s *Server) jobCompleted() {
-	s.jobs.sweep()
-	s.runGC()
-}
-
-// runGC bounds the store per Config.GCKeep and evicts what it removed from
-// the in-memory cache level, so a collected record cannot be resurrected
-// from RAM. GC failures are non-fatal — the store stays bigger than asked,
+// runGC is every job's terminal hook. It bounds the store per
+// Config.GCKeep and evicts what it removed from the in-memory cache level,
+// so a collected record cannot be resurrected from RAM. GC failures are non-fatal — the store stays bigger than asked,
 // which the next run retries.
 func (s *Server) runGC() {
 	if s.cfg.GCKeep <= 0 {
@@ -222,11 +205,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/campaigns", s.requireAuth(s.handleSubmit))
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
+	s.mux.HandleFunc("GET /v1/jobs", s.k.HandleJobs)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.k.HandleJob)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.requireAuth(s.handleCancel))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/events", s.handleFirehose)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.k.HandleEvents)
+	s.mux.HandleFunc("GET /v1/events", s.k.HandleFirehose)
 	s.mux.HandleFunc("GET /v1/fvms", s.handleFVMs)
 	s.mux.HandleFunc("GET /v1/fvms/{id}", s.handleFVM)
 	s.mux.HandleFunc("DELETE /v1/fvms/{id}", s.requireAuth(s.handleDeleteFVM))
@@ -281,17 +264,21 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 	for _, m := range removed {
 		s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"removed": len(removed), "keep": keep})
+	jobs.WriteJSON(w, http.StatusOK, map[string]any{"removed": len(removed), "keep": keep})
 }
 
 // worker drains the queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for job := range s.queue {
-		if !job.setRunning() {
-			continue // cancelled while queued
+		if job.Start() { // false: cancelled while queued
+			s.runJob(job)
 		}
-		s.runJob(job)
+		// The bulk inference payload (network words + test set) is dead
+		// weight once the job is terminal; drop the job's copy so finished
+		// history entries don't pin megabytes each. The worker is the
+		// payload's only reader.
+		job.campaign.Net, job.campaign.TestX, job.campaign.TestY = nil, nil, nil
 	}
 }
 
@@ -299,7 +286,7 @@ func (s *Server) worker() {
 // may enroll a different inventory) but backed by the shared store, so
 // characterization work is reused across jobs and restarts.
 func (s *Server) runJob(job *Job) {
-	defer job.cancel()
+	defer job.Cancel()
 	fleet := engine.NewFleet(job.inventory, engine.Options{
 		Workers: s.cfg.FleetWorkers,
 		Cache:   s.cache,
@@ -314,7 +301,7 @@ func (s *Server) runJob(job *Job) {
 			job.appendEngineEvent(ev)
 		}
 	}()
-	res, err := fleet.RunCampaign(job.ctx, c)
+	res, err := fleet.RunCampaign(job.Context(), c)
 	close(events)
 	<-drained
 	job.finish(res, err)
@@ -408,13 +395,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// and eviction touches the journal on disk — I/O no submission (or
 	// /healthz poll) should ever queue behind. intakeMu guards only what
 	// it must: the draining check and the queue send racing close().
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	job := s.jobs.create(c, inv, ctx, cancel, s.fh, s.jn, s.cfg.JobEventWindow, s.jobCompleted)
+	job := s.newJob(c, inv)
 	reject := func(msg string) {
 		// The submission was refused: it must not linger in the listing as
 		// a phantom cancelled job the client was told never existed.
-		s.jobs.remove(job.id)
-		cancel()
+		s.k.Discard(job.Job)
 		writeError(w, &apiError{status: http.StatusServiceUnavailable, msg: msg})
 	}
 	s.intakeMu.Lock()
@@ -433,202 +418,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Journaled from the moment it is queued: a crash before the first
 	// event still replays this job (as failed-with-restart-marker).
-	s.jn.putMeta(job)
-	writeJSON(w, http.StatusAccepted, job.status(true))
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.list())
-}
-
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	job, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, &apiError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
-	}
-	return job, ok
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if job, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, http.StatusOK, job.status(true))
-	}
+	job.Persist()
+	jobs.WriteJSON(w, http.StatusAccepted, job.Status(true))
 }
 
 // handleCancel cancels a queued or running job. Cancelling a terminal job is
 // a no-op that reports the final state.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookupJob(w, r)
+	job, ok := s.k.Lookup(w, r)
 	if !ok {
 		return
 	}
-	job.markCancelled() // queued → cancelled immediately
-	job.cancel()        // running → engine unwinds via ctx, worker calls finish
-	writeJSON(w, http.StatusOK, job.status(true))
-}
-
-// sseRetryHint is the reconnect delay SSE streams advertise to clients.
-const sseRetryHint = 2 * time.Second
-
-// startSSE emits the stream headers, a retry hint, and an immediate flush,
-// returning the flusher (or false when the writer cannot stream). The
-// retry hint and the keepalive ticker the handlers run afterwards are what
-// keep an idle stream alive across proxies: without them a stream attached
-// to a job stuck behind a full queue writes nothing after the headers
-// until the job starts, and an intermediary severs it long before that.
-func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, &apiError{status: http.StatusInternalServerError, msg: "response writer cannot stream"})
-		return nil, false
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "retry: %d\n\n", sseRetryHint.Milliseconds())
-	flusher.Flush()
-	return flusher, true
-}
-
-// sseKeepAlive writes one comment frame; proxies pass it through, clients
-// ignore it, and both learn the connection is still alive.
-func sseKeepAlive(w http.ResponseWriter, flusher http.Flusher) {
-	fmt.Fprint(w, ": keepalive\n\n")
-	flusher.Flush()
-}
-
-// handleEvents streams the job's event log as Server-Sent Events: history
-// first, then live events, closing after the terminal "campaign" event. The
-// Last-Event-ID header (or ?after=) resumes a dropped stream; comment
-// keepalives flow while the job is idle (e.g. queued behind a full worker
-// pool).
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	// A malformed or negative resume cursor replays from the start rather
-	// than reaching eventsSince with an index that would slice negatively.
-	next := 0
-	if after := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); after != "" {
-		if n, err := strconv.Atoi(after); err == nil && n >= 0 {
-			next = n + 1
-		}
-	}
-	flusher, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	keepalive := time.NewTicker(s.cfg.SSEKeepAlive)
-	defer keepalive.Stop()
-
-	for {
-		evs, terminal, changed := job.eventsSince(next)
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-			next = ev.Seq + 1
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		if terminal {
-			// Everything up to and including the terminal event is out.
-			if evs, _, _ := job.eventsSince(next); len(evs) == 0 {
-				return
-			}
-			continue
-		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			sseKeepAlive(w, flusher)
-		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// firehosePageSize bounds how many journaled events one deep-resume page
-// pulls back into memory; the handler loops page after page until the
-// cursor reaches the live window.
-const firehosePageSize = 512
-
-// handleFirehose streams every job's events, multiplexed in global-sequence
-// order and tagged with job ids — the fleet dashboard feed. The stream has
-// no terminal event; it runs until the client disconnects or the server
-// shuts down. Last-Event-ID (or ?after=) carries a global sequence, which
-// survives restarts via the journal; a cursor older than the in-memory
-// replay window — any depth, including 0 across a restart — is paged out of
-// the journal until it catches up to the window, then streams live. Only
-// with no journal (or a gap from dropped best-effort writes) does the
-// cursor clamp forward to the oldest retained event.
-func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
-	var after int64
-	if c := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); c != "" {
-		if n, err := strconv.ParseInt(c, 10, 64); err == nil && n > 0 {
-			after = n
-		}
-	}
-	flusher, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	keepalive := time.NewTicker(s.cfg.SSEKeepAlive)
-	defer keepalive.Stop()
-
-	emit := func(ev JobEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.GSeq, ev.Type, data)
-		after = ev.GSeq
-		return true
-	}
-	for {
-		evs, changed, inWindow := s.fh.since(after)
-		if !inWindow {
-			if page := s.jn.firehosePage(after, firehosePageSize); len(page) > 0 {
-				for _, ev := range page {
-					if !emit(ev) {
-						return
-					}
-				}
-				flusher.Flush()
-				continue
-			}
-			// Nothing journaled below the window: clamp to its edge. The
-			// low-water mark only rises, so this always makes progress.
-			after = s.fh.lowWater()
-			continue
-		}
-		for _, ev := range evs {
-			if !emit(ev) {
-				return
-			}
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			sseKeepAlive(w, flusher)
-		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
+	job.CancelQueued() // queued → cancelled immediately
+	job.Cancel()       // running → engine unwinds via ctx, worker calls finish
+	jobs.WriteJSON(w, http.StatusOK, job.Status(true))
 }
 
 // matchKey filters store listings by the optional platform/serial query.
@@ -687,7 +490,7 @@ func (s *Server) handleFVMs(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	jobs.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleDeleteFVM removes one stored record — the admin lever behind GC:
@@ -710,7 +513,7 @@ func (s *Server) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
+	jobs.WriteJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 
 // handleFVM returns one stored record's full Fault Variation Map.
@@ -731,7 +534,7 @@ func (s *Server) handleFVM(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
-	writeJSON(w, http.StatusOK, rec.FVM)
+	jobs.WriteJSON(w, http.StatusOK, rec.FVM)
 }
 
 // handleVmin reports each stored sweep's observed operating window — the
@@ -752,7 +555,7 @@ func (s *Server) handleVmin(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	jobs.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealth reports liveness, queue pressure, and journal health.
@@ -761,23 +564,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	pending := len(s.queue)
 	s.intakeMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	jobs.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":             !draining,
 		"draining":       draining,
 		"pending":        pending,
 		"workers":        s.cfg.Workers,
-		"journal":        s.jn != nil,
-		"journal_errors": s.jn.errors(),
+		"journal":        s.k.Journaled(),
+		"journal_errors": s.k.JournalErrors(),
 	})
-}
-
-// writeJSON emits v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // writeError maps an error to its HTTP form (500 unless it is an apiError).
@@ -787,5 +581,5 @@ func writeError(w http.ResponseWriter, err error) {
 	if errors.As(err, &ae) {
 		status = ae.status
 	}
-	writeJSON(w, status, ErrorBody{Error: err.Error()})
+	jobs.WriteError(w, status, err.Error())
 }

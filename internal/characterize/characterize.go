@@ -351,6 +351,11 @@ func (t Thresholds) GuardbandFrac() float64 {
 	return (t.Vnom - t.Vmin) / t.Vnom
 }
 
+// DiscoveryFloorV is the lowest rail voltage threshold discovery steps
+// down to — below every platform's crash point, so the sweep always ends
+// at the crash rather than at the floor.
+const DiscoveryFloorV = 0.40
+
 // DiscoverBRAMThresholds sweeps VCCBRAM downward from nominal until the
 // design crashes, recording where faults first appear (Vmin) and the lowest
 // operating level (Vcrash). A short probe (probeRuns read passes over the
@@ -373,7 +378,7 @@ func DiscoverBRAMThresholdsGated(ctx context.Context, b *board.Board, probeRuns 
 	th := Thresholds{Vnom: cal.Vnom, Vmin: cal.Vnom, Vcrash: cal.Vnom}
 	b.FillAll(0xFFFF)
 	sawFault := false
-	for _, v := range voltage.SweepDown(cal.Vnom, 0.40, voltage.Step) {
+	for _, v := range voltage.SweepDown(cal.Vnom, DiscoveryFloorV, voltage.Step) {
 		if err := ctx.Err(); err != nil {
 			return th, restoreNominal(b, err)
 		}
@@ -431,7 +436,7 @@ func DiscoverIntThresholds(ctx context.Context, b *board.Board) (Thresholds, err
 	cal := b.Platform.Cal
 	th := Thresholds{Vnom: cal.Vnom, Vmin: cal.Vnom, Vcrash: cal.Vnom}
 	sawFault := false
-	for _, v := range voltage.SweepDown(cal.Vnom, 0.40, voltage.Step) {
+	for _, v := range voltage.SweepDown(cal.Vnom, DiscoveryFloorV, voltage.Step) {
 		if err := ctx.Err(); err != nil {
 			// The cancellation cause stays visible (errors.Is keeps
 			// matching); a failed restore rides along joined.

@@ -63,36 +63,87 @@ const (
 	KindMitigation
 )
 
-// String names the campaign kind.
-func (k CampaignKind) String() string {
-	switch k {
-	case Characterization:
-		return "characterization"
-	case TemperatureStudy:
-		return "temperature-study"
-	case NNInference:
-		return "nn-inference"
-	case KindPattern:
-		return "pattern-study"
-	case KindThresholds:
-		return "threshold-discovery"
-	case KindMitigation:
-		return "mitigation"
-	}
-	return "unknown"
+// kindDef is the engine's whole definition of one campaign kind: every
+// per-kind decision the engine makes reads it, so adding a kind is one
+// entry here plus its board runner.
+type kindDef struct {
+	name string
+	// weight is the board's share of campaign progress: roughly how many
+	// sweep steps the study costs there, so a temperature ladder counts for
+	// more than one sweep and a wide voltage window for more than a narrow
+	// one. Only relative magnitudes matter; per-level run counts, uniform
+	// across the fleet, are ignored.
+	weight func(c Campaign, p platform.Platform) float64
+	// run executes the study on one board, filling the kind's payload.
+	run func(f *Fleet, ctx context.Context, c Campaign, pm *progressMeter, p platform.Platform, res *BoardResult) error
+	// check, when set, rejects missing or malformed inputs before any board
+	// spins up.
+	check func(c Campaign) error
 }
 
-// Kinds returns every campaign kind, in declaration order — the one list
-// KindByName and campaign validation both derive from.
+// kinds is indexed by CampaignKind.
+var kinds = [...]kindDef{
+	Characterization: {
+		name:   "characterization",
+		weight: Campaign.sweepLevels,
+		run:    (*Fleet).characterizeBoard,
+	},
+	TemperatureStudy: {
+		name: "temperature-study",
+		weight: func(c Campaign, p platform.Platform) float64 {
+			return c.sweepLevels(p) * float64(len(c.temps()))
+		},
+		run: (*Fleet).temperatureBoard,
+	},
+	NNInference: {
+		name:   "nn-inference",
+		weight: func(_ Campaign, p platform.Platform) float64 { return steps(p.Cal.Vmin, p.Cal.Vcrash) },
+		run:    (*Fleet).inferenceBoard,
+		check:  Campaign.checkInference,
+	},
+	KindPattern: {
+		name:   "pattern-study",
+		weight: func(c Campaign, _ platform.Platform) float64 { return float64(len(c.patterns())) },
+		run:    (*Fleet).patternBoard,
+	},
+	KindThresholds: {
+		name: "threshold-discovery",
+		// Both rails sweep from nominal toward the discovery floor.
+		weight: func(_ Campaign, p platform.Platform) float64 {
+			return 2 * steps(p.Cal.Vnom, characterize.DiscoveryFloorV)
+		},
+		run: (*Fleet).thresholdsBoard,
+	},
+	KindMitigation: {
+		name:   "mitigation",
+		weight: func(c Campaign, p platform.Platform) float64 { return float64(len(c.mitigationLadder(p))) },
+		run:    (*Fleet).mitigationBoard,
+		check:  func(c Campaign) error { return ValidateMitigation(c.MitArms, c.MitVoltages) },
+	},
+}
+
+// String names the campaign kind.
+func (k CampaignKind) String() string {
+	if k < 0 || int(k) >= len(kinds) {
+		return "unknown"
+	}
+	return kinds[k].name
+}
+
+// Kinds returns every campaign kind, in declaration order.
 func Kinds() []CampaignKind {
-	return []CampaignKind{Characterization, TemperatureStudy, NNInference, KindPattern, KindThresholds, KindMitigation}
+	ks := make([]CampaignKind, len(kinds))
+	for i := range ks {
+		ks[i] = CampaignKind(i)
+	}
+	return ks
 }
 
 // KindByName resolves a campaign kind from its String form.
 func KindByName(name string) (CampaignKind, error) {
-	for _, k := range Kinds() {
-		if k.String() == name {
-			return k, nil
+	for k, d := range kinds {
+		if d.name == name {
+			return CampaignKind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("engine: unknown campaign kind %q", name)
@@ -173,10 +224,10 @@ type BoardResult struct {
 	Err error
 }
 
-// finalSweep returns the sweep whose deepest level feeds the cross-chip
-// aggregation: the characterization sweep, or the last (hottest) temperature
-// sweep.
-func (r *BoardResult) finalSweep() *characterize.Sweep {
+// FinalSweep returns the sweep whose deepest level feeds the cross-chip
+// aggregation and the board's reported window: the characterization sweep,
+// or the last (hottest) temperature sweep. Other kinds have none.
+func (r *BoardResult) FinalSweep() *characterize.Sweep {
 	if r.Sweep != nil {
 		return r.Sweep
 	}
@@ -398,7 +449,7 @@ func (f *Fleet) RunCampaign(ctx context.Context, c Campaign) (*CampaignResult, e
 	if c.Sweep.Gate == nil {
 		c.Sweep.Gate = f.readGate
 	}
-	pm := newProgressMeter()
+	pm := &progressMeter{}
 	for _, p := range f.platforms {
 		pm.grow(c.boardWeight(p))
 	}
@@ -443,29 +494,43 @@ feed:
 // validate rejects campaigns whose required inputs are missing before any
 // board spins up.
 func (c Campaign) validate() error {
-	if !slices.Contains(Kinds(), c.Kind) {
+	if c.Kind < 0 || int(c.Kind) >= len(kinds) {
 		return fmt.Errorf("engine: unknown campaign kind %d", c.Kind)
 	}
-	if c.Kind == NNInference {
-		if c.Net == nil {
-			return fmt.Errorf("engine: NNInference campaign needs a quantized network")
-		}
-		if len(c.TestX) == 0 || len(c.TestX) != len(c.TestY) {
-			return fmt.Errorf("engine: NNInference campaign needs an aligned test set (%d inputs, %d labels)",
-				len(c.TestX), len(c.TestY))
-		}
-	}
-	if c.Kind == KindMitigation {
-		if err := ValidateMitigation(c.MitArms, c.MitVoltages); err != nil {
-			return err
-		}
+	if check := kinds[c.Kind].check; check != nil {
+		return check(c)
 	}
 	return nil
 }
 
-// defaultPatterns returns the Fig. 4 fill set a KindPattern campaign runs
-// when none is given.
-func defaultPatterns() []characterize.Options {
+// checkInference requires an NNInference campaign's network and an aligned
+// test set.
+func (c Campaign) checkInference() error {
+	if c.Net == nil {
+		return fmt.Errorf("engine: NNInference campaign needs a quantized network")
+	}
+	if len(c.TestX) == 0 || len(c.TestX) != len(c.TestY) {
+		return fmt.Errorf("engine: NNInference campaign needs an aligned test set (%d inputs, %d labels)",
+			len(c.TestX), len(c.TestY))
+	}
+	return nil
+}
+
+// temps returns a TemperatureStudy's ladder: the requested one, or the
+// paper's 50..80 °C.
+func (c Campaign) temps() []float64 {
+	if len(c.Temps) > 0 {
+		return c.Temps
+	}
+	return []float64{50, 60, 70, 80}
+}
+
+// patterns returns a fresh copy of the fills a KindPattern campaign
+// measures: the requested ones, or the paper's Fig. 4 set.
+func (c Campaign) patterns() []characterize.Options {
+	if len(c.Patterns) > 0 {
+		return slices.Clone(c.Patterns)
+	}
 	return []characterize.Options{
 		{Pattern: 0xFFFF},
 		{Pattern: 0xAAAA},
@@ -482,8 +547,6 @@ type progressMeter struct {
 	total float64
 	done  float64
 }
-
-func newProgressMeter() *progressMeter { return &progressMeter{} }
 
 // grow enlarges the campaign's total weight (called once per board, before
 // the workers start).
@@ -519,39 +582,18 @@ func (pm *progressMeter) add(w float64) float64 {
 	return pm.percentLocked()
 }
 
-// boardWeight estimates how many sweep steps the campaign costs on one
-// board, so progress weights a temperature ladder heavier than one sweep and
-// a wide voltage window heavier than a narrow one. Only relative magnitudes
-// matter; the estimate intentionally ignores per-level run counts, which are
-// uniform across the fleet.
-func (c Campaign) boardWeight(p platform.Platform) float64 {
+// boardWeight is the campaign's progress weight for one board.
+func (c Campaign) boardWeight(p platform.Platform) float64 { return kinds[c.Kind].weight(c, p) }
+
+// sweepLevels counts the levels of the campaign's characterization sweep on
+// one board.
+func (c Campaign) sweepLevels(p platform.Platform) float64 {
 	o := c.Sweep.Normalized(p.Cal)
-	levels := float64(len(voltage.SweepDown(o.VStart, o.VStop, o.StepV)))
-	switch c.Kind {
-	case Characterization:
-		return levels
-	case TemperatureStudy:
-		n := len(c.Temps)
-		if n == 0 {
-			n = 4 // the default 50..80 °C ladder
-		}
-		return levels * float64(n)
-	case NNInference:
-		return float64(len(voltage.SweepDown(p.Cal.Vmin, p.Cal.Vcrash, voltage.Step)))
-	case KindPattern:
-		n := len(c.Patterns)
-		if n == 0 {
-			n = len(defaultPatterns())
-		}
-		return float64(n)
-	case KindThresholds:
-		// Both rails sweep from nominal toward the discovery floor.
-		return 2 * float64(len(voltage.SweepDown(p.Cal.Vnom, 0.40, voltage.Step)))
-	case KindMitigation:
-		return float64(len(c.mitigationLadder(p)))
-	}
-	return 1
+	return float64(len(voltage.SweepDown(o.VStart, o.VStop, o.StepV)))
 }
+
+// steps counts the standard-step voltage levels from hi down to lo.
+func steps(hi, lo float64) float64 { return float64(len(voltage.SweepDown(hi, lo, voltage.Step))) }
 
 // emit streams a progress event without ever outliving the campaign: a full
 // channel blocks only until the consumer reads or the context dies.
@@ -577,23 +619,7 @@ func (f *Fleet) runBoard(ctx context.Context, c Campaign, pm *progressMeter, idx
 	c.emit(ctx, Event{Kind: EventBoardStart, Board: idx, Platform: p.Name, Serial: p.Serial,
 		Progress: pm.percent()})
 
-	var err error
-	switch c.Kind {
-	case Characterization:
-		err = f.characterizeBoard(ctx, c, p, &res)
-	case TemperatureStudy:
-		err = f.temperatureBoard(ctx, c, p, &res)
-	case NNInference:
-		err = f.inferenceBoard(ctx, c, p, &res)
-	case KindPattern:
-		err = f.patternBoard(ctx, c, p, &res)
-	case KindThresholds:
-		err = f.thresholdsBoard(ctx, c, p, &res)
-	case KindMitigation:
-		err = f.mitigationBoard(ctx, c, pm, idx, p, &res)
-	default:
-		err = fmt.Errorf("engine: unknown campaign kind %d", c.Kind)
-	}
+	err := kinds[c.Kind].run(f, ctx, c, pm, p, &res)
 	// The board's weight is credited whether it succeeded or failed —
 	// either way that share of the campaign is no longer outstanding.
 	progress := pm.add(c.boardWeight(p))
@@ -605,7 +631,7 @@ func (f *Fleet) runBoard(ctx context.Context, c Campaign, pm *progressMeter, idx
 	}
 	done := Event{Kind: EventBoardDone, Board: idx, Platform: p.Name, Serial: p.Serial,
 		FromCache: res.FromCache, Progress: progress}
-	if s := res.finalSweep(); s != nil && len(s.Levels) > 0 {
+	if s := res.FinalSweep(); s != nil && len(s.Levels) > 0 {
 		done.Faults = s.Final().FaultsPerMbit
 	}
 	if n := len(res.Inference); n > 0 {
@@ -643,7 +669,7 @@ func cacheKey(p platform.Platform, o characterize.Options) CacheKey {
 // characterizeBoard runs (or recalls) the board's characterization sweep
 // and FVM. Concurrent campaigns (same fleet or fleets sharing the cache)
 // that race on one key collapse into a single measurement.
-func (f *Fleet) characterizeBoard(ctx context.Context, c Campaign, p platform.Platform, res *BoardResult) error {
+func (f *Fleet) characterizeBoard(ctx context.Context, c Campaign, _ *progressMeter, p platform.Platform, res *BoardResult) error {
 	key := cacheKey(p, c.Sweep)
 	if c.SkipCache {
 		s, m, err := f.measureBoard(ctx, c, p)
@@ -681,11 +707,8 @@ func (f *Fleet) measureBoard(ctx context.Context, c Campaign, p platform.Platfor
 }
 
 // temperatureBoard runs the Fig. 8 ladder on one board.
-func (f *Fleet) temperatureBoard(ctx context.Context, c Campaign, p platform.Platform, res *BoardResult) error {
-	temps := c.Temps
-	if len(temps) == 0 {
-		temps = []float64{50, 60, 70, 80}
-	}
+func (f *Fleet) temperatureBoard(ctx context.Context, c Campaign, _ *progressMeter, p platform.Platform, res *BoardResult) error {
+	temps := c.temps()
 	b := board.New(p)
 	f.characterizations.Add(uint64(len(temps)))
 	sweeps, err := characterize.TemperatureStudy(ctx, b, temps, c.Sweep)
@@ -700,7 +723,7 @@ func (f *Fleet) temperatureBoard(ctx context.Context, c Campaign, p platform.Pla
 // accuracy on one board. The compiled placement is memoized fleet-wide:
 // boards sharing a floorplan assemble the same bitstream instead of each
 // re-running place and route.
-func (f *Fleet) inferenceBoard(ctx context.Context, c Campaign, p platform.Platform, res *BoardResult) error {
+func (f *Fleet) inferenceBoard(ctx context.Context, c Campaign, _ *progressMeter, p platform.Platform, res *BoardResult) error {
 	seed := c.Seed
 	if seed == 0 {
 		seed = 1
@@ -731,13 +754,10 @@ func (f *Fleet) inferenceBoard(ctx context.Context, c Campaign, p platform.Platf
 // threaded into every fill that does not set its own — otherwise a
 // temp_c=80 pattern study would silently measure at each pattern's 50 °C
 // default.
-func (f *Fleet) patternBoard(ctx context.Context, c Campaign, p platform.Platform, res *BoardResult) error {
-	// Clone before patching temperatures: every board worker sees the same
-	// backing array, and the caller's Campaign must not be mutated.
-	pats := slices.Clone(c.Patterns)
-	if len(pats) == 0 {
-		pats = defaultPatterns()
-	}
+func (f *Fleet) patternBoard(ctx context.Context, c Campaign, _ *progressMeter, p platform.Platform, res *BoardResult) error {
+	// patterns() hands out a copy: every board worker sees the same backing
+	// array, and the caller's Campaign must not be mutated.
+	pats := c.patterns()
 	o := c.Sweep.Normalized(p.Cal)
 	for i := range pats {
 		if pats[i].OnBoardC == 0 {
@@ -764,7 +784,7 @@ func (f *Fleet) patternBoard(ctx context.Context, c Campaign, p platform.Platfor
 
 // thresholdsBoard discovers both rails' operating boundaries on one board
 // (Fig. 1, fleet-wide) at the campaign's on-board temperature.
-func (f *Fleet) thresholdsBoard(ctx context.Context, c Campaign, p platform.Platform, res *BoardResult) error {
+func (f *Fleet) thresholdsBoard(ctx context.Context, c Campaign, _ *progressMeter, p platform.Platform, res *BoardResult) error {
 	b := board.New(p)
 	b.SetOnBoardTemp(c.Sweep.Normalized(p.Cal).OnBoardC)
 	f.characterizations.Add(2)
@@ -821,7 +841,7 @@ func (r *BoardResult) Sample() BoardSample {
 	if s.Failed {
 		return s
 	}
-	if sw := r.finalSweep(); sw != nil && len(sw.Levels) > 0 {
+	if sw := r.FinalSweep(); sw != nil && len(sw.Levels) > 0 {
 		s.Faults = append(s.Faults, sw.Final().FaultsPerMbit)
 		s.Vmins = append(s.Vmins, ObservedVmin(sw))
 		s.Vcrashes = append(s.Vcrashes, sw.Final().V)

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/bram"
+	"repro/internal/characterize"
 	"repro/internal/cluster"
 	"repro/internal/dvfs"
 	"repro/internal/ecc"
@@ -162,7 +163,7 @@ func (c Campaign) mitigationLadder(p platform.Platform) []float64 {
 }
 
 // mitigationBoard runs the four-arm comparison on one board.
-func (f *Fleet) mitigationBoard(ctx context.Context, c Campaign, pm *progressMeter, idx int, p platform.Platform, res *BoardResult) error {
+func (f *Fleet) mitigationBoard(ctx context.Context, c Campaign, pm *progressMeter, p platform.Platform, res *BoardResult) error {
 	arms := normalizeMitArms(c.MitArms)
 	o := c.Sweep.Normalized(p.Cal)
 	pattern := o.Pattern
@@ -303,7 +304,7 @@ func (f *Fleet) mitigationBoard(ctx context.Context, c Campaign, pm *progressMet
 				V: v, Accuracy: acc, EnergyJ: op.EnergyJ, FreqScale: op.FreqScale,
 			})
 		}
-		c.emit(ctx, Event{Kind: EventLevel, Board: idx, Platform: p.Name, Serial: p.Serial,
+		c.emit(ctx, Event{Kind: EventLevel, Board: res.Board, Platform: p.Name, Serial: p.Serial,
 			V: v, Faults: levelFaults, Progress: pm.percent()})
 	}
 
@@ -485,7 +486,7 @@ func isoEnergyPoint(cmp *dvfs.Comparator, v float64) dvfs.OperatingPoint {
 	var best dvfs.OperatingPoint
 	bestD := math.Inf(1)
 	found := false
-	for _, g := range voltage.SweepDown(cmp.Cal.Vnom, 0.40, voltage.Step) {
+	for _, g := range voltage.SweepDown(cmp.Cal.Vnom, characterize.DiscoveryFloorV, voltage.Step) {
 		op := cmp.AtDVFS(g)
 		if op.FreqScale <= 0 {
 			continue

@@ -17,8 +17,6 @@ package fed
 
 import (
 	"context"
-	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -228,36 +226,22 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 }
 
+// routes registers the API. The coordinator's own mutating endpoints sit
+// behind Config.AuthToken.
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("POST /v1/campaigns", c.requireAuth(c.handleSubmit))
+	auth := func(h http.HandlerFunc) http.HandlerFunc { return jobs.RequireBearer(c.cfg.AuthToken, h) }
+	c.mux.HandleFunc("POST /v1/campaigns", auth(c.handleSubmit))
 	c.mux.HandleFunc("GET /v1/jobs", c.k.HandleJobs)
 	c.mux.HandleFunc("GET /v1/jobs/{id}", c.k.HandleJob)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.requireAuth(c.handleCancel))
+	c.mux.HandleFunc("DELETE /v1/jobs/{id}", auth(c.handleCancel))
 	c.mux.HandleFunc("GET /v1/jobs/{id}/events", c.k.HandleEvents)
 	c.mux.HandleFunc("GET /v1/events", c.k.HandleFirehose)
 	c.mux.HandleFunc("GET /v1/fvms", c.handleFVMs)
 	c.mux.HandleFunc("GET /v1/fvms/{id}", c.handleFVM)
-	c.mux.HandleFunc("DELETE /v1/fvms/{id}", c.requireAuth(c.handleDeleteFVM))
+	c.mux.HandleFunc("DELETE /v1/fvms/{id}", auth(c.handleDeleteFVM))
 	c.mux.HandleFunc("GET /v1/vmin", c.handleVmin)
-	c.mux.HandleFunc("POST /v1/gc", c.requireAuth(c.handleGC))
+	c.mux.HandleFunc("POST /v1/gc", auth(c.handleGC))
 	c.mux.HandleFunc("GET /healthz", c.handleHealth)
-}
-
-// requireAuth mirrors the daemon's bearer gate on the coordinator's own
-// mutating endpoints.
-func (c *Coordinator) requireAuth(h http.HandlerFunc) http.HandlerFunc {
-	if c.cfg.AuthToken == "" {
-		return h
-	}
-	want := []byte(c.cfg.AuthToken)
-	return func(w http.ResponseWriter, r *http.Request) {
-		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(strings.TrimSpace(tok)), want) != 1 {
-			jobs.WriteError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-			return
-		}
-		h(w, r)
-	}
 }
 
 // --- health -----------------------------------------------------------
@@ -321,14 +305,8 @@ func (c *Coordinator) callCtx(parent context.Context) (context.Context, context.
 // --- HTTP handlers ----------------------------------------------------
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 48<<20))
-	if err != nil {
-		jobs.WriteError(w, http.StatusRequestEntityTooLarge, "request body too large")
-		return
-	}
-	var req server.CampaignRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	req, ok := server.DecodeSubmission(w, r)
+	if !ok {
 		return
 	}
 	// Validate up front: a bad submission is a 400 at the coordinator, not

@@ -1,6 +1,7 @@
 package fed_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -332,6 +333,38 @@ func newService(t *testing.T, cfg server.Config) (*daemon, *server.Client) {
 	t.Helper()
 	d := newDaemon(t, cfg)
 	return d, server.NewClient(d.URL, http.DefaultClient)
+}
+
+// TestSubmitLimitsMatchDaemon sends the same oversized body to a daemon and
+// to a coordinator in front of it: a 1.5 MiB characterization, valid JSON
+// padded with whitespace, is over the 1 MiB limit for every kind but
+// nn-inference. Both front doors must refuse it with 413 and create no job.
+func TestSubmitLimitsMatchDaemon(t *testing.T) {
+	ctx := context.Background()
+	d, dc := newService(t, server.Config{})
+	_, fc := newFed(t, fed.Config{Downstreams: []string{d.URL}})
+	doc, err := json.Marshal(fleetCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(doc, bytes.Repeat([]byte(" "), 3<<19)...)
+	for name, cl := range map[string]*server.Client{"daemon": dc, "coordinator": fc} {
+		resp, err := http.Post(cl.BaseURL()+"/v1/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s answered %d to a %d-byte characterization body, want 413", name, resp.StatusCode, len(body))
+		}
+		jobs, err := cl.Jobs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(jobs) != 0 {
+			t.Errorf("%s created %d jobs from a refused body", name, len(jobs))
+		}
+	}
 }
 
 // TestDaemonDeathMidCampaign kills one of two daemons mid-campaign and

@@ -2,10 +2,12 @@ package jobs
 
 import (
 	"cmp"
+	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -22,6 +24,25 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError answers with the shared ErrorBody envelope.
 func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, ErrorBody{Error: msg})
+}
+
+// RequireBearer gates a mutating handler on token. With no token it is a
+// pass-through; with one, the request must present the exact token as
+// `Authorization: Bearer <token>` — compared in constant time, so the check
+// leaks nothing about the prefix it rejected on.
+func RequireBearer(token string, h http.HandlerFunc) http.HandlerFunc {
+	if token == "" {
+		return h
+	}
+	want := []byte(token)
+	return func(w http.ResponseWriter, r *http.Request) {
+		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+		if !ok || subtle.ConstantTimeCompare([]byte(strings.TrimSpace(tok)), want) != 1 {
+			WriteError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+			return
+		}
+		h(w, r)
+	}
 }
 
 // Lookup resolves the request's {id} path value, answering 404 when the

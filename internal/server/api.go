@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -135,71 +136,59 @@ type MitigationSpec struct {
 // unauthenticated POST can schedule.
 const maxInferenceSamples = 10000
 
-// scopedKindCheck rejects kind-scoped sub-objects riding the wrong kind —
-// a client nesting them expects them to matter.
-func (req *CampaignRequest) scopedKindCheck(kind engine.CampaignKind) error {
-	checks := []struct {
-		name string
-		set  bool
-		kind engine.CampaignKind
-	}{
-		{"inference", req.Inference != nil, engine.NNInference},
-		{"pattern", req.Pattern != nil, engine.KindPattern},
-		{"thresholds", req.Thresholds != nil, engine.KindThresholds},
-		{"temperature", req.Temperature != nil, engine.TemperatureStudy},
-		{"mitigation", req.Mitigation != nil, engine.KindMitigation},
-	}
-	for _, ck := range checks {
-		if ck.set && kind != ck.kind {
-			return badRequestf("%s{} only rides %q campaigns", ck.name, ck.kind)
-		}
-	}
-	return nil
+// scopedKnobs is every kind-scoped sub-object: its JSON name, the kind it
+// rides, and how its knobs fold into the flat fields, so the one flat
+// compile path below serves both schemas and a scoped request can never
+// decode differently from its flat equivalent. A sub-object on the wrong
+// kind is a 400 — a client nesting it expects it to matter. A mitigation{}
+// has no flat twin; campaign() reads it directly.
+var scopedKnobs = []struct {
+	name string
+	kind engine.CampaignKind
+	set  func(*CampaignRequest) bool
+	fold func(*CampaignRequest) error
+}{
+	{"inference", engine.NNInference, func(r *CampaignRequest) bool { return r.Inference != nil },
+		func(r *CampaignRequest) error {
+			s := r.Inference
+			return cmp.Or(
+				foldKnob(len(s.Net) > 0, len(r.Net) > 0, func() { r.Net = s.Net },
+					"net set both flat and in inference{}"),
+				foldKnob(len(s.TestSet) > 0, len(r.TestSet) > 0, func() { r.TestSet = s.TestSet },
+					"test_set set both flat and in inference{}"),
+				foldKnob(s.Seed != 0, r.Seed != 0, func() { r.Seed = s.Seed },
+					"seed set both flat and in inference{}"))
+		}},
+	{"pattern", engine.KindPattern, func(r *CampaignRequest) bool { return r.Pattern != nil },
+		func(r *CampaignRequest) error {
+			return foldKnob(len(r.Pattern.Fills) > 0, len(r.Patterns) > 0, func() { r.Patterns = r.Pattern.Fills },
+				"fills set both flat (patterns) and in pattern{}")
+		}},
+	{"thresholds", engine.KindThresholds, func(r *CampaignRequest) bool { return r.Thresholds != nil },
+		func(r *CampaignRequest) error {
+			return foldKnob(r.Thresholds.ProbeRuns != 0, r.ProbeRuns != 0, func() { r.ProbeRuns = r.Thresholds.ProbeRuns },
+				"probe_runs set both flat and in thresholds{}")
+		}},
+	{"temperature", engine.TemperatureStudy, func(r *CampaignRequest) bool { return r.Temperature != nil },
+		func(r *CampaignRequest) error {
+			return foldKnob(len(r.Temperature.Temps) > 0, len(r.Temps) > 0, func() { r.Temps = r.Temperature.Temps },
+				"temps set both flat and in temperature{}")
+		}},
+	{"mitigation", engine.KindMitigation, func(r *CampaignRequest) bool { return r.Mitigation != nil },
+		func(*CampaignRequest) error { return nil }},
 }
 
-// foldScoped resolves each kind-scoped knob into its flat field, so the
-// one flat compile path below serves both schemas and a scoped request can
-// never decode differently from its flat equivalent. A knob set in both
-// forms is a conflict — 400, never a silent pick.
-func (req *CampaignRequest) foldScoped() error {
-	if s := req.Inference; s != nil {
-		if len(s.Net) > 0 {
-			if len(req.Net) > 0 {
-				return badRequestf("net set both flat and in inference{}: pick one")
-			}
-			req.Net = s.Net
-		}
-		if len(s.TestSet) > 0 {
-			if len(req.TestSet) > 0 {
-				return badRequestf("test_set set both flat and in inference{}: pick one")
-			}
-			req.TestSet = s.TestSet
-		}
-		if s.Seed != 0 {
-			if req.Seed != 0 {
-				return badRequestf("seed set both flat and in inference{}: pick one")
-			}
-			req.Seed = s.Seed
-		}
+// foldKnob moves one scoped knob, when set, into its flat field; a knob set
+// in both forms is a conflict — 400, never a silent pick. Callers fold every
+// knob of a sub-object and report the first conflict.
+func foldKnob(scoped, flat bool, move func(), conflict string) error {
+	if !scoped {
+		return nil
 	}
-	if s := req.Pattern; s != nil && len(s.Fills) > 0 {
-		if len(req.Patterns) > 0 {
-			return badRequestf("fills set both flat (patterns) and in pattern{}: pick one")
-		}
-		req.Patterns = s.Fills
+	if flat {
+		return badRequestf("%s: pick one", conflict)
 	}
-	if s := req.Thresholds; s != nil && s.ProbeRuns != 0 {
-		if req.ProbeRuns != 0 {
-			return badRequestf("probe_runs set both flat and in thresholds{}: pick one")
-		}
-		req.ProbeRuns = s.ProbeRuns
-	}
-	if s := req.Temperature; s != nil && len(s.Temps) > 0 {
-		if len(req.Temps) > 0 {
-			return badRequestf("temps set both flat and in temperature{}: pick one")
-		}
-		req.Temps = s.Temps
-	}
+	move()
 	return nil
 }
 
@@ -210,16 +199,22 @@ func (r *CampaignRequest) campaign() (engine.Campaign, error) {
 	if err != nil {
 		return engine.Campaign{}, badRequestf("unknown campaign kind %q", r.Kind)
 	}
-	if err := r.scopedKindCheck(kind); err != nil {
-		return engine.Campaign{}, err
+	for _, sk := range scopedKnobs {
+		if sk.set(r) && sk.kind != kind {
+			return engine.Campaign{}, badRequestf("%s{} only rides %q campaigns", sk.name, sk.kind)
+		}
 	}
 	// Compile from a normalized copy: scoped knobs fold into the flat
 	// fields, then the pre-redesign flat path runs unchanged — a golden
 	// flat request decodes bit-identically to what it always did.
 	reqCopy := *r
 	req := &reqCopy
-	if err := req.foldScoped(); err != nil {
-		return engine.Campaign{}, err
+	for _, sk := range scopedKnobs {
+		if sk.set(req) {
+			if err := sk.fold(req); err != nil {
+				return engine.Campaign{}, err
+			}
+		}
 	}
 	c := engine.Campaign{
 		Kind:      kind,

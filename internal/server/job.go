@@ -102,13 +102,7 @@ func boardStatus(r *engine.BoardResult) BoardStatus {
 	if r.Err != nil {
 		bs.Error = r.Err.Error()
 	}
-	// Temperature studies leave Sweep nil and fill TempSweeps; the last
-	// (hottest) sweep is the one the aggregate reports too.
-	s := r.Sweep
-	if s == nil && len(r.TempSweeps) > 0 {
-		s = r.TempSweeps[len(r.TempSweeps)-1]
-	}
-	if s != nil && len(s.Levels) > 0 {
+	if s := r.FinalSweep(); s != nil && len(s.Levels) > 0 {
 		bs.FaultsPerMbit = s.Final().FaultsPerMbit
 		bs.VminV = engine.ObservedVmin(s)
 		bs.VcrashV = s.Final().V

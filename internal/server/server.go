@@ -38,7 +38,6 @@ package server
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -196,46 +195,28 @@ func (s *Server) runGC() {
 	}
 	removed, _ := s.cfg.Store.GC(s.cfg.GCKeep)
 	for _, m := range removed {
-		s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
+		s.cache.Invalidate(m.Key)
 	}
 }
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// routes registers the API. Mutating handlers sit behind Config.AuthToken.
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/campaigns", s.requireAuth(s.handleSubmit))
+	auth := func(h http.HandlerFunc) http.HandlerFunc { return jobs.RequireBearer(s.cfg.AuthToken, h) }
+	s.mux.HandleFunc("POST /v1/campaigns", auth(s.handleSubmit))
 	s.mux.HandleFunc("GET /v1/jobs", s.k.HandleJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.k.HandleJob)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.requireAuth(s.handleCancel))
+	s.mux.HandleFunc("DELETE /v1/jobs/{id}", auth(s.handleCancel))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.k.HandleEvents)
 	s.mux.HandleFunc("GET /v1/events", s.k.HandleFirehose)
 	s.mux.HandleFunc("GET /v1/fvms", s.handleFVMs)
 	s.mux.HandleFunc("GET /v1/fvms/{id}", s.handleFVM)
-	s.mux.HandleFunc("DELETE /v1/fvms/{id}", s.requireAuth(s.handleDeleteFVM))
+	s.mux.HandleFunc("DELETE /v1/fvms/{id}", auth(s.handleDeleteFVM))
 	s.mux.HandleFunc("GET /v1/vmin", s.handleVmin)
-	s.mux.HandleFunc("POST /v1/gc", s.requireAuth(s.handleGC))
+	s.mux.HandleFunc("POST /v1/gc", auth(s.handleGC))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-}
-
-// requireAuth enforces Config.AuthToken on mutating handlers. With no token
-// configured it is a pass-through; with one, the request must present the
-// exact token as `Authorization: Bearer <token>` — compared in constant
-// time, so the check leaks nothing about the prefix it rejected on.
-func (s *Server) requireAuth(h http.HandlerFunc) http.HandlerFunc {
-	if s.cfg.AuthToken == "" {
-		return h
-	}
-	want := []byte(s.cfg.AuthToken)
-	return func(w http.ResponseWriter, r *http.Request) {
-		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(strings.TrimSpace(tok)), want) != 1 {
-			writeError(w, &apiError{status: http.StatusUnauthorized,
-				msg: "missing or invalid bearer token"})
-			return
-		}
-		h(w, r)
-	}
 }
 
 // handleGC re-bounds the FVM store to the newest ?keep= records per
@@ -262,7 +243,7 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, m := range removed {
-		s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
+		s.cache.Invalidate(m.Key)
 	}
 	jobs.WriteJSON(w, http.StatusOK, map[string]any{"removed": len(removed), "keep": keep})
 }
@@ -351,8 +332,12 @@ const (
 	maxNNSubmitBody = 48 << 20
 )
 
-// handleSubmit enqueues a campaign and answers 202 with the queued job.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// DecodeSubmission reads and decodes a POST /v1/campaigns body under the
+// submission limits. When ok is false it has already answered: 413 for a
+// body over its kind's limit, 400 for one it could not read or decode. The
+// daemon and the federation coordinator both admit bodies through it, so
+// the two front doors accept exactly the same documents.
+func DecodeSubmission(w http.ResponseWriter, r *http.Request) (req CampaignRequest, ok bool) {
 	// The kind-specific limit can only be enforced after the kind is known
 	// (it lives in the body), so the body is read under the large cap and
 	// re-checked once decoded: a non-NN campaign bigger than the small cap
@@ -364,20 +349,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			writeError(w, &apiError{status: http.StatusRequestEntityTooLarge,
 				msg: fmt.Sprintf("request body exceeds the %d-byte submission limit", maxNNSubmitBody)})
-			return
+			return req, false
 		}
 		writeError(w, badRequestf("read request: %v", err))
-		return
+		return req, false
 	}
-	var req CampaignRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
 		writeError(w, badRequestf("decode request: %v", err))
-		return
+		return req, false
 	}
 	if len(raw) > maxSubmitBody && req.Kind != engine.NNInference.String() {
 		writeError(w, &apiError{status: http.StatusRequestEntityTooLarge,
 			msg: fmt.Sprintf("%q submissions are limited to %d bytes; only nn-inference bodies may be larger",
 				req.Kind, maxSubmitBody)})
+		return req, false
+	}
+	return req, true
+}
+
+// handleSubmit enqueues a campaign and answers 202 with the queued job.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, ok := DecodeSubmission(w, r)
+	if !ok {
 		return
 	}
 	c, err := req.campaign()
@@ -512,7 +505,7 @@ func (s *Server) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
-	s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
+	s.cache.Invalidate(m.Key)
 	jobs.WriteJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 

@@ -499,26 +499,29 @@ func (d *Disk) CompactJob(id string) error {
 }
 
 // enforceLiveSegCapLocked drops the oldest sealed segments past the live
-// cap, advancing the log's truncation edge so readers below it get a marker
-// instead of a silent gap. A segment that cannot be unlinked stays indexed
-// and the next compaction retries. Callers hold the job's stripe write lock.
+// cap. Callers hold the job's stripe write lock.
 func (d *Disk) enforceLiveSegCapLocked(id string, jl *jobLog) {
-	if d.liveSegCap <= 0 {
-		return
-	}
-	for len(jl.segs) > d.liveSegCap {
-		sg := jl.segs[0]
-		if err := os.Remove(filepath.Join(d.jobSegsDir(id), sg.fileName())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	for d.liveSegCap > 0 && len(jl.segs) > d.liveSegCap {
+		if !d.dropOldestSegLocked(id, jl) {
 			return
 		}
-		jl.segs = jl.segs[1:]
-		if sg.maxSeq+1 > jl.minAvail {
-			jl.minAvail = sg.maxSeq + 1
-		}
-		if sg.lastG > jl.truncG {
-			jl.truncG = sg.lastG
-		}
 	}
+}
+
+// dropOldestSegLocked unlinks the job's oldest sealed segment and advances
+// the log's truncation edge past it, so readers below the edge get a marker
+// instead of a silent gap. A segment that cannot be unlinked stays indexed
+// and false is returned; the next compaction or trim retries. Callers hold
+// the job's stripe write lock.
+func (d *Disk) dropOldestSegLocked(id string, jl *jobLog) bool {
+	sg := jl.segs[0]
+	if err := os.Remove(filepath.Join(d.jobSegsDir(id), sg.fileName())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return false
+	}
+	jl.segs = jl.segs[1:]
+	jl.minAvail = max(jl.minAvail, sg.maxSeq+1)
+	jl.truncG = max(jl.truncG, sg.lastG)
+	return true
 }
 
 // TrimJobEvents drops sealed segments whose entire Seq range falls below
@@ -542,20 +545,11 @@ func (d *Disk) TrimJobEvents(id string, keepLast int) error {
 		return nil
 	}
 	cutoff := jl.nextSeq - keepLast
-	kept := jl.segs[:0]
-	for _, sg := range jl.segs {
-		if sg.maxSeq < cutoff {
-			if err := os.Remove(filepath.Join(d.jobSegsDir(id), sg.fileName())); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				// Keep the index entry for a segment still on disk; the next
-				// trim retries.
-				kept = append(kept, sg)
-				continue
-			}
-			continue
+	for len(jl.segs) > 0 && jl.segs[0].maxSeq < cutoff {
+		if !d.dropOldestSegLocked(id, jl) {
+			break
 		}
-		kept = append(kept, sg)
 	}
-	jl.segs = kept
 	return nil
 }
 

@@ -437,6 +437,45 @@ func TestDiskTrimJobEvents(t *testing.T) {
 	}
 }
 
+// TestTrimAdvancesTruncationEdge retains a compacted log's last events and
+// reads it back in the same process: the trimmed prefix must be reported
+// with a Truncated marker by both the per-job read and the firehose, just as
+// after a live-cap drop or a reopen — never as a silent gap.
+func TestTrimAdvancesTruncationEdge(t *testing.T) {
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.SetEventLogTuning(4, 1<<30) // tiny segments, manual compaction only
+	const n = 40
+	appendN(t, d, "job-0001", 0, n, 1)
+	if err := d.CompactJob("job-0001"); err != nil {
+		t.Fatal(err)
+	}
+	// Keeping 5 drops the eight whole segments below Seq 35: 0..31.
+	if err := d.TrimJobEvents("job-0001", 5); err != nil {
+		t.Fatal(err)
+	}
+	const minAvail = 32
+	evs, err := d.ReadJobEvents("job-0001", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1+n-minAvail || !evs[0].Truncated || evs[0].Seq != minAvail-1 || evs[1].Seq != minAvail {
+		t.Fatalf("read from 0 after trim = %d records starting %+v, want a marker at seq %d then %d events",
+			len(evs), evs[0], minAvail-1, n-minAvail)
+	}
+	fh, err := d.ReadFirehose(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fh) != 1+n-minAvail || !fh[0].Truncated || fh[0].Seq != minAvail-1 || fh[0].GSeq != minAvail {
+		t.Fatalf("firehose from 0 after trim = %d records starting %+v, want a marker at seq %d, gseq %d",
+			len(fh), fh[0], minAvail-1, minAvail)
+	}
+}
+
 // TestLiveSegCap exercises the mid-flight retention bound: with a live
 // sealed-segment cap set, compaction drops the oldest sealed segments of a
 // still-appending job, reads below the dropped range lead with a Truncated

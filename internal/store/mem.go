@@ -1,23 +1,26 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 )
 
 // Mem is the hermetic Store used by tests and by deployments that want the
-// service API without durability. Records round-trip through the same JSON
-// encoding the Disk store uses, so the serialization path is exercised and
-// callers can never alias a stored record's internals.
+// service API without durability. Records and jobs round-trip through the
+// same JSON encoding the Disk store uses, so the serialization path is
+// exercised; event records are kept decoded with their payloads cloned on
+// the way in and out. Either way callers can never alias stored internals.
 type Mem struct {
 	mu     sync.RWMutex
-	blobs  map[string][]byte   // id → encoded record
-	keys   map[string]idxEntry // id → key + summary + put order
-	jobs   map[string][]byte   // job id → encoded journal record
-	events map[string][][]byte // job id → encoded event records, append order
+	blobs  map[string][]byte        // id → encoded record
+	keys   map[string]idxEntry      // id → key + summary + put order
+	jobs   map[string][]byte        // job id → encoded journal record
+	events map[string][]EventRecord // job id → event records, append order
 	seq    int64
 }
 
@@ -27,7 +30,7 @@ func NewMem() *Mem {
 		blobs:  make(map[string][]byte),
 		keys:   make(map[string]idxEntry),
 		jobs:   make(map[string][]byte),
-		events: make(map[string][][]byte),
+		events: make(map[string][]EventRecord),
 	}
 }
 
@@ -157,42 +160,24 @@ func (m *Mem) DeleteJob(id string) error {
 	return nil
 }
 
-// AppendJobEvents appends events to one job's log. Like jobs and blobs,
-// events round-trip through JSON so the serialization path is exercised
-// hermetically and callers can never alias stored internals.
+// AppendJobEvents appends events to one job's log, cloning each payload.
 func (m *Mem) AppendJobEvents(id string, evs []EventRecord) error {
 	if !ValidJobID(id) {
 		return fmt.Errorf("store: malformed job id %q", id)
 	}
-	encoded := make([][]byte, 0, len(evs))
-	for i := range evs {
-		rec := evs[i]
-		rec.Job = id
-		raw, err := json.Marshal(&rec)
-		if err != nil {
-			return fmt.Errorf("store: encode event %s/%d: %w", id, rec.Seq, err)
-		}
-		encoded = append(encoded, raw)
-	}
 	m.mu.Lock()
-	m.events[id] = append(m.events[id], encoded...)
+	for _, ev := range evs {
+		ev.Job = id
+		m.events[id] = append(m.events[id], cloneEvent(ev))
+	}
 	m.mu.Unlock()
 	return nil
 }
 
-// decodeEventsLocked decodes one job's stored events; corrupt entries are
-// skipped, mirroring the Disk store's degrade-not-fail reads.
-func (m *Mem) decodeEventsLocked(id string) []EventRecord {
-	raws := m.events[id]
-	out := make([]EventRecord, 0, len(raws))
-	for _, raw := range raws {
-		var ev EventRecord
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out
+// cloneEvent copies ev with a payload of its own.
+func cloneEvent(ev EventRecord) EventRecord {
+	ev.Payload = bytes.Clone(ev.Payload)
+	return ev
 }
 
 // ReadJobEvents returns id's events with Seq >= from, ascending and
@@ -201,15 +186,14 @@ func (m *Mem) ReadJobEvents(id string, from, limit int) ([]EventRecord, error) {
 	if !ValidJobID(id) {
 		return nil, fmt.Errorf("store: malformed job id %q", id)
 	}
+	var out []EventRecord
 	m.mu.RLock()
-	evs := m.decodeEventsLocked(id)
-	m.mu.RUnlock()
-	out := evs[:0]
-	for _, ev := range evs {
+	for _, ev := range m.events[id] {
 		if ev.Seq >= from {
-			out = append(out, ev)
+			out = append(out, cloneEvent(ev))
 		}
 	}
+	m.mu.RUnlock()
 	return capEvents(sortDedupEvents(out), limit), nil
 }
 
@@ -220,17 +204,12 @@ func (m *Mem) JobEventStats(id string) (int, int64, error) {
 		return 0, 0, fmt.Errorf("store: malformed job id %q", id)
 	}
 	m.mu.RLock()
-	evs := m.decodeEventsLocked(id)
-	m.mu.RUnlock()
+	defer m.mu.RUnlock()
 	var nextSeq int
 	var lastG int64
-	for _, ev := range evs {
-		if ev.Seq+1 > nextSeq {
-			nextSeq = ev.Seq + 1
-		}
-		if ev.GSeq > lastG {
-			lastG = ev.GSeq
-		}
+	for _, ev := range m.events[id] {
+		nextSeq = max(nextSeq, ev.Seq+1)
+		lastG = max(lastG, ev.GSeq)
 	}
 	return nextSeq, lastG, nil
 }
@@ -238,16 +217,12 @@ func (m *Mem) JobEventStats(id string) (int, int64, error) {
 // ReadFirehose returns events across all jobs with GSeq > after, in GSeq
 // order, capped at limit.
 func (m *Mem) ReadFirehose(after int64, limit int) ([]EventRecord, error) {
-	m.mu.RLock()
-	ids := make([]string, 0, len(m.events))
-	for id := range m.events {
-		ids = append(ids, id)
-	}
 	var all []EventRecord
-	for _, id := range ids {
-		for _, ev := range m.decodeEventsLocked(id) {
+	m.mu.RLock()
+	for _, evs := range m.events {
+		for _, ev := range evs {
 			if ev.GSeq > after {
-				all = append(all, ev)
+				all = append(all, cloneEvent(ev))
 			}
 		}
 	}
@@ -268,23 +243,12 @@ func (m *Mem) TrimJobEvents(id string, keepLast int) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	evs := m.decodeEventsLocked(id)
-	evs = sortDedupEvents(evs)
+	evs := sortDedupEvents(slices.Clone(m.events[id]))
 	if len(evs) <= keepLast {
 		return nil
 	}
 	cutoff := evs[len(evs)-keepLast].Seq
-	kept := make([][]byte, 0, keepLast)
-	for _, raw := range m.events[id] {
-		var ev EventRecord
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			continue // trimming is the one place corrupt entries get dropped
-		}
-		if ev.Seq >= cutoff {
-			kept = append(kept, raw)
-		}
-	}
-	m.events[id] = kept
+	m.events[id] = slices.DeleteFunc(m.events[id], func(ev EventRecord) bool { return ev.Seq < cutoff })
 	return nil
 }
 
@@ -292,15 +256,13 @@ func (m *Mem) TrimJobEvents(id string, keepLast int) error {
 func (m *Mem) LastGSeq() (int64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var max int64
-	for id := range m.events {
-		for _, ev := range m.decodeEventsLocked(id) {
-			if ev.GSeq > max {
-				max = ev.GSeq
-			}
+	var last int64
+	for _, evs := range m.events {
+		for _, ev := range evs {
+			last = max(last, ev.GSeq)
 		}
 	}
-	return max, nil
+	return last, nil
 }
 
 // Close is a no-op.

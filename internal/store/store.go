@@ -49,8 +49,8 @@ import (
 // Key identifies one measurement: a board (platform + serial + pool
 // geometry — a scaled pool is a different simulated die) characterized
 // under a specific temperature, run count, and sweep-option fingerprint.
-// It mirrors the engine's cache key, so the disk store and the in-memory
-// cache always agree on what "the same characterization" means.
+// The engine's in-memory FVM cache is keyed by it too. Fault locations are
+// deterministic per chip, so two sweeps under one Key produce one FVM.
 type Key struct {
 	Platform string  `json:"platform"`
 	Serial   string  `json:"serial"`

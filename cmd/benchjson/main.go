@@ -16,7 +16,7 @@
 // regressed by more than the threshold — the CI gate that keeps committed
 // baselines honest:
 //
-//	go run ./cmd/benchjson -compare BENCH_pr4.json BENCH_new.json -threshold 50
+//	go run ./cmd/benchjson -compare BENCH_pr10.json BENCH_new.json -threshold 30
 //	make bench-compare
 //
 // Only regressions on the compared metric (default ns/op) fail; new

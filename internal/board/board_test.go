@@ -710,3 +710,62 @@ func TestDiffBRAMIntoErrorsAndAllocs(t *testing.T) {
 		t.Fatalf("crashed board DiffBRAMInto returned %d diffs", len(got))
 	}
 }
+
+// TestConcurrentReadersOverFillPage fans Readers out over a filled pool whose
+// blocks still share one fill page, with a few blocks written into private
+// copies, and requires every site's readout and count to match the serial
+// board path. Under -race it also checks that readers only read the page.
+func TestConcurrentReadersOverFillPage(t *testing.T) {
+	b := testBoard()
+	b.FillAll(0xFFFF)
+	for site := 0; site < b.Pool.Len(); site += 5 {
+		b.Pool.Block(site).Write(site%bram.Rows, 0x0F0F)
+	}
+	if err := b.SetVCCBRAM(b.Platform.Cal.Vcrash + 0.01); err != nil {
+		t.Fatal(err)
+	}
+	run := b.BeginRun()
+	n := b.Pool.Len()
+	want := make([][]uint16, n)
+	wantCount := make([]int, n)
+	for site := range want {
+		want[site] = make([]uint16, bram.Rows)
+		if err := b.ReadBRAMInto(want[site], site, run); err != nil {
+			t.Fatal(err)
+		}
+		wantCount[site], _, _ = countViaReadout(t, b, site, run)
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			r := b.NewReader()
+			buf := make([]uint16, bram.Rows)
+			for site := w; site < n; site += workers {
+				if err := r.ReadInto(buf, site, run); err != nil {
+					errs <- err
+					return
+				}
+				if !slices.Equal(buf, want[site]) {
+					errs <- fmt.Errorf("site %d: reader readout differs from board readout", site)
+					return
+				}
+				got, _, _, err := r.CountInto(site, run)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got != wantCount[site] {
+					errs <- fmt.Errorf("site %d: reader count %d, readout count %d", site, got, wantCount[site])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

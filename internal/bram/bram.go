@@ -9,12 +9,15 @@
 // combines the two by applying a fault overlay on the read path. That split
 // mirrors the physics: undervolting corrupts reads, not the stored charge,
 // which is why the paper observes stable fault locations and full recovery
-// at nominal voltage.
+// at nominal voltage. It is also why a pool-wide pattern fill is stored once:
+// host writes at nominal voltage are reliable, so every block of a filled
+// pool shares one read-only page until a write gives it its own copy.
 package bram
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/silicon"
 )
@@ -28,11 +31,15 @@ const (
 
 // Block is one 16 Kbit BRAM: 1024 rows of 16 data bits (+2 parity bits).
 type Block struct {
-	site   silicon.Site
-	index  int
-	words  []uint16
-	parity []uint8 // 2 parity bits per row, even parity over each byte
-	gen    uint64  // content generation, bumped by every write path
+	site  silicon.Site
+	index int
+	// words holds the row contents. Unless owned, it aliases a read-only
+	// fill page shared with other blocks of the same pool (see
+	// Pool.FillAll): the first single-word write copies the page, and a
+	// block fill replaces it, so a shared page is never written.
+	words []uint16
+	owned bool
+	gen   uint64 // content generation, bumped by every write path
 
 	// dirty is the change feed behind TakeDirty: the rows written since the
 	// last drain, complete only while dirtyAll is unset. Bulk writes and
@@ -49,12 +56,7 @@ const maxDirtyRows = 64
 
 // NewBlock allocates a zeroed block at the given floorplan site.
 func NewBlock(index int, site silicon.Site) *Block {
-	return &Block{
-		site:   site,
-		index:  index,
-		words:  make([]uint16, Rows),
-		parity: make([]uint8, Rows),
-	}
+	return &Block{site: site, index: index, words: make([]uint16, Rows), owned: true}
 }
 
 // Index returns the block's linear index in its pool.
@@ -63,10 +65,13 @@ func (b *Block) Index() int { return b.index }
 // Site returns the block's physical floorplan location.
 func (b *Block) Site() silicon.Site { return b.site }
 
-// Write stores a word (and its parity bits) at the given row.
+// Write stores a word at the given row, first copying a shared fill page so
+// the write lands in the block's own storage.
 func (b *Block) Write(row int, w uint16) {
+	if !b.owned {
+		b.words, b.owned = slices.Clone(b.words), true
+	}
 	b.words[row] = w
-	b.parity[row] = evenParity(w)
 	b.gen++
 	b.noteDirty(row)
 }
@@ -128,33 +133,37 @@ func (b *Block) CountFaults(faults []silicon.Fault) (total, flip10, flip01 int) 
 	return flip10 + flip01, flip10, flip01
 }
 
-// ReadParity returns the stored parity bits of a row (bit0: low byte, bit1:
-// high byte).
-func (b *Block) ReadParity(row int) uint8 { return b.parity[row] }
-
-// ParityOK reports whether the stored parity of the row matches its data.
-func (b *Block) ParityOK(row int) bool { return b.parity[row] == evenParity(b.words[row]) }
+// ReadParity returns the parity bits of a row (bit0: low byte, bit1: high
+// byte). Writes are reliable and reads corrupt only data bits, so the parity
+// a row holds is always the even parity of its stored word; it is derived
+// from the word rather than stored.
+func (b *Block) ReadParity(row int) uint8 { return evenParity(b.words[row]) }
 
 // Fill writes the same word to every row — the pattern initialization of the
 // characterization flow (Listing 1).
-func (b *Block) Fill(pattern uint16) {
-	p := evenParity(pattern)
-	for r := range b.words {
-		b.words[r] = pattern
-		b.parity[r] = p
-	}
-	b.gen++
-	b.dirty, b.dirtyAll = nil, true
-}
+func (b *Block) Fill(pattern uint16) { b.FillFunc(func(int) uint16 { return pattern }) }
 
 // FillFunc writes pattern(row) to every row; used for random and per-row
 // patterns in the Fig. 4 study.
 func (b *Block) FillFunc(pattern func(row int) uint16) {
-	for r := range b.words {
-		w := pattern(r)
-		b.words[r] = w
-		b.parity[r] = evenParity(w)
+	if !b.owned { // overwritten whole: drop a shared page rather than copy it
+		b.words, b.owned = make([]uint16, Rows), true
 	}
+	for r := range b.words {
+		b.words[r] = pattern(r)
+	}
+	b.rewritten()
+}
+
+// share points the block at a pool's read-only fill page.
+func (b *Block) share(page []uint16) {
+	b.words, b.owned = page, false
+	b.rewritten()
+}
+
+// rewritten records a whole-block write: a new generation, and a dirty feed
+// that can only say "everything changed".
+func (b *Block) rewritten() {
 	b.gen++
 	b.dirty, b.dirtyAll = nil, true
 }
@@ -174,14 +183,18 @@ type Pool struct {
 	bySite map[silicon.Site]*Block
 }
 
-// NewPool allocates one block per site, in site order.
+// NewPool allocates one zeroed block per site, in site order. The blocks
+// share one zero page until they are written.
 func NewPool(sites []silicon.Site) *Pool {
 	p := &Pool{
 		blocks: make([]*Block, len(sites)),
 		bySite: make(map[silicon.Site]*Block, len(sites)),
 	}
+	zero := make([]uint16, Rows)
+	slab := make([]Block, len(sites))
 	for i, s := range sites {
-		b := NewBlock(i, s)
+		b := &slab[i]
+		b.site, b.index, b.words = s, i, zero
 		p.blocks[i] = b
 		p.bySite[s] = b
 	}
@@ -197,10 +210,16 @@ func (p *Pool) Block(i int) *Block { return p.blocks[i] }
 // At returns the block at a physical site, or nil if the site is empty.
 func (p *Pool) At(s silicon.Site) *Block { return p.bySite[s] }
 
-// FillAll writes the same pattern into every block.
+// FillAll writes the same pattern into every block. The blocks share one
+// read-only page holding the pattern — O(blocks), not O(blocks×Rows) — until
+// each is next written.
 func (p *Pool) FillAll(pattern uint16) {
+	page := make([]uint16, Rows)
+	for r := range page {
+		page[r] = pattern
+	}
 	for _, b := range p.blocks {
-		b.Fill(pattern)
+		b.share(page)
 	}
 }
 
@@ -274,43 +293,3 @@ func (c *Cascade) ReadRaw(addr int) (uint16, error) {
 
 // Blocks returns the underlying blocks (shared slice; do not modify).
 func (c *Cascade) Blocks() []*Block { return c.blocks }
-
-// ApplyFaults corrupts a row's readout according to the active faults of the
-// block's site: "1"→"0" faults clear bits whose stored value is 1, "0"→"1"
-// faults set bits whose stored value is 0. Faults for other rows are ignored.
-func ApplyFaults(stored uint16, row int, faults []silicon.Fault) uint16 {
-	w := stored
-	for _, f := range faults {
-		if int(f.Row) != row {
-			continue
-		}
-		bit := uint16(1) << f.Col
-		if f.Flip01 {
-			w |= bit
-		} else {
-			w &^= bit
-		}
-	}
-	return w
-}
-
-// RowMasks folds a block's active fault list into per-row AND/OR masks so a
-// full-block read touches each faulty row once. Returned maps are keyed by
-// row; rows absent from both maps read back unmodified.
-func RowMasks(faults []silicon.Fault) (and map[int]uint16, or map[int]uint16) {
-	and = make(map[int]uint16)
-	or = make(map[int]uint16)
-	for _, f := range faults {
-		row := int(f.Row)
-		bit := uint16(1) << f.Col
-		if f.Flip01 {
-			or[row] |= bit
-		} else {
-			if _, ok := and[row]; !ok {
-				and[row] = 0xffff
-			}
-			and[row] &^= bit
-		}
-	}
-	return and, or
-}

@@ -226,10 +226,7 @@ func fill(b *board.Board, o Options) {
 func measureLevel(ctx context.Context, b *board.Board, o Options, v float64) (Level, error) {
 	nSites := b.Pool.Len()
 	level := Level{V: v}
-	perBRAMRuns := make([][]int, nSites) // [site][run]
-	for s := range perBRAMRuns {
-		perBRAMRuns[s] = make([]int, o.Runs)
-	}
+	perBRAMRuns := make([]int, nSites*o.Runs) // [site*o.Runs+run]
 
 	// The paper validates link fidelity at each level with a full wire-path
 	// transfer before the measurement runs. The probe reads under the
@@ -257,8 +254,8 @@ func measureLevel(ctx context.Context, b *board.Board, o Options, v float64) (Le
 	level.MedianFaults = level.Stats.Median
 	level.FaultsPerMbit = level.MedianFaults / b.Pool.TotalMbits()
 	level.PerBRAM = make([]float64, nSites)
-	for s := range perBRAMRuns {
-		level.PerBRAM[s] = stats.MedianInts(perBRAMRuns[s])
+	for s := range level.PerBRAM {
+		level.PerBRAM[s] = stats.MedianIntsInPlace(perBRAMRuns[s*o.Runs : (s+1)*o.Runs])
 	}
 	level.BRAMPowerW = b.BRAMPowerW()
 	level.MeterPowerW = b.MeasureTotalPowerW(10)
@@ -272,7 +269,7 @@ func measureLevel(ctx context.Context, b *board.Board, o Options, v float64) (Le
 // path remains where contents are actually needed (pattern-of-content
 // studies, accel.ReadParameters, link-fidelity frames). When o.Gate is set,
 // each worker holds one budget unit while it scans.
-func scanPool(ctx context.Context, b *board.Board, o Options, perBRAM [][]int, run int, runIdx uint64) (total int, f10, f01 int64, err error) {
+func scanPool(ctx context.Context, b *board.Board, o Options, perBRAM []int, run int, runIdx uint64) (total int, f10, f01 int64, err error) {
 	nSites := b.Pool.Len()
 	workers := o.Workers
 	if workers > nSites {
@@ -317,7 +314,7 @@ func scanPool(ctx context.Context, b *board.Board, o Options, perBRAM [][]int, r
 					mu.Unlock()
 					return
 				}
-				perBRAM[site][run] = n
+				perBRAM[site*o.Runs+run] = n
 				localTotal += n
 				local10 += int64(n10)
 				local01 += int64(n01)

@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -78,13 +79,19 @@ func Median(xs []float64) float64 {
 	return (cp[mid-1] + cp[mid]) / 2
 }
 
-// MedianInts returns the median of an integer sample as a float64.
-func MedianInts(xs []int) float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
+// MedianIntsInPlace returns the median of an integer sample as a float64,
+// bit-identical to Median over the same values. It sorts xs in place and
+// allocates nothing, for samples the caller no longer needs.
+func MedianIntsInPlace(xs []int) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	return Median(fs)
+	slices.Sort(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return float64(xs[mid])
+	}
+	return (float64(xs[mid-1]) + float64(xs[mid])) / 2
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

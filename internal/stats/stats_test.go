@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -243,6 +244,24 @@ func TestQuickQuantileMonotone(t *testing.T) {
 			qa, qb = qb, qa
 		}
 		return Quantile(xs, qa) <= Quantile(xs, qb)+1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQuickMedianIntsInPlaceMatchesMedian(t *testing.T) {
+	// Property: the in-place integer median is bit-identical to the float
+	// median of the same sample, and leaves xs sorted.
+	f := func(xs []int32) bool {
+		ints := make([]int, len(xs))
+		fs := make([]float64, len(xs))
+		for i, x := range xs {
+			ints[i], fs[i] = int(x), float64(x)
+		}
+		want := Median(fs)
+		got := MedianIntsInPlace(ints)
+		return math.Float64bits(got) == math.Float64bits(want) && slices.IsSorted(ints)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
